@@ -28,8 +28,9 @@ from .functionals import (arakelov_calabi, arakelov_energy, aubin_I_rel,
 from .geometry import SphereGeometry
 from .heightvalue import HeightValue
 from .intersection import IntersectionModel
-from .quantize import (balanced_iterate, dequantization_scan,
-                       hilbert_samuel_residual, l2_gram)
+from .quantize import (VOL_M_OMEGA, SectionGram, balanced_iterate,
+                       dequantization_scan, family_providers,
+                       hilbert_samuel_residual)
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC = 0, 2, 3
 
@@ -155,12 +156,11 @@ def run_balanced(args) -> int:
     if args.tol <= 0:
         raise ValidationError("--tol must be > 0")
     model, _ = _load_family(args)
+    g0 = family_providers(model.family).gram(args.m, VOL_M_OMEGA)
     geometry = SphereGeometry(args.grid)
-    g0 = l2_gram("p1-fs", args.m, "fs", "m-omega")
     if args.gram:
         with open(args.gram) as fh:
             raw = np.array(json.load(fh), float)
-        from .quantize import SectionGram
         g0 = SectionGram(g0.m, g0.basis, raw, g0.volume_convention)
     elif args.perturb:
         rng = np.random.default_rng(args.seed)
@@ -168,7 +168,6 @@ def run_balanced(args) -> int:
         sym = rng.standard_normal((r, r))
         sym = (sym + sym.T) / 2.0
         sym -= np.trace(sym) / r * np.eye(r)
-        from .quantize import SectionGram
         g0 = SectionGram(g0.m, g0.basis,
                          g0.gram * np.exp(args.perturb * sym),
                          g0.volume_convention)

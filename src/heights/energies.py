@@ -8,16 +8,13 @@ Ric-density / omega-density.  mu(const) = 0 pins the combination.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import ArityMismatch, GeometryMismatch, ValidationError
 from .functionals import model_beta
-from .heightvalue import HeightValue
 from .intersection import form_key
 from .potentials import PotentialField
+from .quantize import family_providers
 
 
 def am_energy(phi: PotentialField) -> float:
@@ -96,10 +93,11 @@ def apply_metric_change(model, phi: PotentialField):
     g = phi.geometry
     if model.n != 1:
         raise GeometryMismatch("quadrature backend covers n = 1 fibers only")
-    hooks = getattr(model, "hooks", None) or {}
-    want = hooks.get("geometry_kind")
-    if want is not None and want != g.kind:
-        raise GeometryMismatch(f"model expects a {want} fiber, got {g.kind}")
+    if model.family is not None:
+        want = family_providers(model.family).geometry_kind
+        if want != g.kind:
+            raise GeometryMismatch(
+                f"model expects a {want} fiber, got {g.kind}")
     if abs(g.V - float(model.deg_Ln)) > 1e-9:
         raise GeometryMismatch("grid mass must equal deg_Ln")
     beta = float(model_beta(model))
@@ -134,10 +132,9 @@ def metric_model_pair(model, phi: PotentialField):
     beta = float(model_beta(model))
     log_ratio = np.log(phi.omega_phi)
     ric0 = g.ric
-    ric_phi = ric0 - g.ddc(log_ratio)
     Lk, Kk = model.L_class, model.K_class
     L0, K0 = Lk + "_ref", Kk + "_ref"
-    f0 = model.form.entries
+    f0, f1 = model.form.entries, changed.form.entries
     A0 = f0[form_key((Lk, Lk))]
     B0 = f0[form_key((Lk, Kk))]
     C0 = f0[form_key((Kk, Kk))]
@@ -147,15 +144,13 @@ def metric_model_pair(model, phi: PotentialField):
         (L0, L0): A0,
         (L0, K0): B0,
         (K0, K0): C0,
-        (Lk, Lk): A0.shift_real(beta * q(s * (1.0 + phi.omega_phi))),
+        (Lk, Lk): f1[form_key((Lk, Lk))],
         (Lk, L0): A0.shift_real(beta * q(s * 1.0)),
-        (Lk, Kk): B0.shift_real(beta * (q(s * (-ric0))
-                                        + q(log_ratio * phi.omega_phi))),
+        (Lk, Kk): f1[form_key((Lk, Kk))],
         (Lk, K0): B0.shift_real(beta * q(s * (-ric0))),
         (L0, Kk): B0.shift_real(beta * q(log_ratio * 1.0)),
         (Kk, K0): C0.shift_real(beta * q(log_ratio * (-ric0))),
-        (Kk, Kk): C0.shift_real(beta * (q(log_ratio * (-ric0))
-                                        + q(log_ratio * (-ric_phi)))),
+        (Kk, Kk): f1[form_key((Kk, Kk))],
     }
     joint = SymmetricForm(2, entries)
     return ModelPair(

@@ -22,7 +22,6 @@ from .heightvalue import HeightValue, ZERO
 from .intersection import (DivisorClassId, FiberComponent, FormalSum,
                            IntersectionModel, ModelPair, SymmetricForm,
                            KIND_CANONICAL, KIND_POLARIZATION, KIND_VERTICAL)
-from .quantize import l2_gram, p1_deg_hat
 from .toric import blowup_family_oracle, toric_log_discrepancy
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -50,15 +49,7 @@ def build_p1_fs(fiber_primes=(2, 3, 5)) -> IntersectionModel:
     return IntersectionModel(
         n=1, degree_KQ=1, classes=(L, K), form=form,
         L_class="L", K_class="K", deg_Ln=Fraction(1), deg_LK=Fraction(-2),
-        fibers=fibers,
-        hooks={
-            "family": "p1-fs",
-            "geometry_kind": "sphere",
-            "deg_hat": p1_deg_hat,
-            "rank": lambda m: m + 1,
-            "gram": lambda m, convention="m-omega": l2_gram(
-                "p1-fs", m, "fs", convention),
-        })
+        fibers=fibers, family="p1-fs")
 
 
 # -- degree-8 del Pezzo family with fiberwise blow-downs ----------------
@@ -117,8 +108,7 @@ def build_p2_blowup_family(primes=(2, 3, 5), twist: int = 2,
     base = IntersectionModel(
         n=n, degree_KQ=1, classes=base_classes, form=base_form,
         L_class="L", K_class="K", deg_Ln=deg_Ln, deg_LK=deg_LK,
-        fibers=base_fibers, generic_degrees={("K", "K"): Fraction(8)},
-        hooks={"family": "p2-blowup-base"})
+        fibers=base_fibers, generic_degrees={("K", "K"): Fraction(8)})
 
     # blown-up model classes in primitive coordinates
     fnames = [f"F{p}" for p in primes]
@@ -149,8 +139,7 @@ def build_p2_blowup_family(primes=(2, 3, 5), twist: int = 2,
         n=n, degree_KQ=1, classes=tuple(blown_classes),
         form=SymmetricForm(3, blown_entries),
         L_class="L", K_class="K", deg_Ln=deg_Ln, deg_LK=deg_LK,
-        fibers=blown_fibers, generic_degrees={("K", "K"): Fraction(8)},
-        hooks={"family": "p2-blowup", "twist": t})
+        fibers=blown_fibers, generic_degrees={("K", "K"): Fraction(8)})
 
     if validate:
         dA = (blown.form.pair(blown.L(), blown.L(), blown.L())

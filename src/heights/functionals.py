@@ -18,13 +18,16 @@ from .heightvalue import HeightValue, ZERO, is_prime
 from .intersection import (FormalSum, IntersectionModel, ModelPair, form_key)
 
 
+def _hk_terms(m: IntersectionModel, L: FormalSum):
+    """(L^{n+1}), (L^n.K) and -n*deg_LK*(L^{n+1}) + (n+1)*deg_Ln*(L^n.K)."""
+    a = m.form.pair(*([L] * (m.n + 1)))
+    b = m.form.pair(*([L] * m.n + [m.K()]))
+    return a, b, a.scale(-m.n * m.deg_LK) + b.scale((m.n + 1) * m.deg_Ln)
+
+
 def modular_height(m: IntersectionModel) -> HeightValue:
     """h_K = (1/[K:Q]) * ( -n*deg_LK*(L^{n+1}) + (n+1)*deg_Ln*(L^n.K) )."""
-    L, K = m.L(), m.K()
-    a = m.form.pair(*([L] * (m.n + 1)))
-    b = m.form.pair(*([L] * m.n + [K]))
-    out = a.scale(-m.n * m.deg_LK) + b.scale((m.n + 1) * m.deg_Ln)
-    return out.scale(Fraction(1, m.degree_KQ))
+    return _hk_terms(m, m.L())[2].scale(Fraction(1, m.degree_KQ))
 
 
 def arakelov_energy(m: IntersectionModel) -> HeightValue:
@@ -113,11 +116,7 @@ def na_scalar_curvature(m: IntersectionModel, prime: int) -> dict:
 def normalized_df(m: IntersectionModel, cover_degree: int = 1) -> HeightValue:
     if cover_degree == 0:
         raise ZeroCoverDegree("cover degree must be nonzero")
-    L, K = m.L(), m.K()
-    a = m.form.pair(*([L] * (m.n + 1)))
-    b = m.form.pair(*([L] * m.n + [K]))
-    out = a.scale(-m.n * m.deg_LK) + b.scale((m.n + 1) * m.deg_Ln)
-    return out.scale(Fraction(1, cover_degree))
+    return _hk_terms(m, m.L())[2].scale(Fraction(1, cover_degree))
 
 
 def normalized_df_twisted(m: IntersectionModel, component_class: str,
@@ -126,10 +125,7 @@ def normalized_df_twisted(m: IntersectionModel, component_class: str,
     if cover_degree == 0:
         raise ZeroCoverDegree("cover degree must be nonzero")
     L = m.L() + FormalSum(component_class).scale(eps)
-    a = m.form.pair(*([L] * (m.n + 1)))
-    b = m.form.pair(*([L] * m.n + [m.K()]))
-    out = a.scale(-m.n * m.deg_LK) + b.scale((m.n + 1) * m.deg_Ln)
-    return out.scale(Fraction(1, cover_degree))
+    return _hk_terms(m, L)[2].scale(Fraction(1, cover_degree))
 
 
 def component_twist_derivative(m: IntersectionModel, prime: int,
@@ -176,9 +172,7 @@ def arakelov_calabi(m: IntersectionModel, primes, arch_term: float) -> float:
 def slope_semistability_test(tc: IntersectionModel) -> str:
     """Compare -(n+1)(L^n.K)/(L^{n+1}) with -n*deg_LK/deg_Ln on a
     geometric-base configuration (pure rational form entries)."""
-    L, K = tc.L(), tc.K()
-    a = tc.form.pair(*([L] * (tc.n + 1)))
-    b = tc.form.pair(*([L] * tc.n + [K]))
+    a, b, _ = _hk_terms(tc, tc.L())
     for v in (a, b):
         if v.log_terms or not v.real_exact:
             raise ValidationError(
@@ -217,9 +211,6 @@ def twist_by_base_divisor(m: IntersectionModel,
         if gd != 0:
             new_entries[key] = val + T.scale(k_l * gd)
     return m.replace_form(new_entries)
-
-
-BOTT_CHERN_MODEL_SCALE = "1/((n+1)*deg_Ln)"
 
 
 def model_beta(m: IntersectionModel) -> Fraction:

@@ -174,16 +174,6 @@ class TorusGeometry:
         # mu_ref of mass V over area Im(tau) this is (Im tau/(4 pi V)) Delta u
         return (self.tau.imag / (4.0 * np.pi * self.V)) * self.laplacian(u)
 
-    def spectral_decay(self, f: np.ndarray) -> float:
-        """Ratio of top-third to bottom-third spectral mass (smoothness check)."""
-        F = np.abs(np.fft.fft2(np.asarray(f, float)))
-        k = np.abs(np.fft.fftfreq(self.n, d=1.0 / self.n))
-        kk, ll = np.meshgrid(k, k, indexing="ij")
-        r = np.maximum(kk, ll)
-        hi = F[r > self.n / 3].sum()
-        lo = F[(r <= self.n / 6)].sum()
-        return float(hi / max(lo, 1e-300))
-
     def random_potential(self, rng, band: int = 6,
                          amplitude: float = 0.05) -> np.ndarray:
         x = np.arange(self.n) / self.n

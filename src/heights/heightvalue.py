@@ -182,21 +182,3 @@ def as_height(x) -> HeightValue:
     if isinstance(x, float):
         return HeightValue(real_part=x)
     raise TypeError(f"cannot interpret {x!r} as HeightValue")
-
-
-def canonicalize(v) -> HeightValue:
-    """Return the canonical form of raw (const, logs, real) data.
-
-    The constructor already enforces canonical form; this entry point
-    additionally accepts plain dicts so that callers can validate raw
-    data before building models.
-    """
-    if isinstance(v, HeightValue):
-        return HeightValue(v.const_part, v.log_terms, v.real_part, v.real_exact)
-    if isinstance(v, dict):
-        return HeightValue.from_json(v)
-    return as_height(v)
-
-
-def evaluate(v: HeightValue) -> float:
-    return as_height(v).evaluate()

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (GenericFiberMismatch, IncompleteJointForm, MissingClass,
                      MissingGenericDegree, NonPrimeLabel, ValidationError)
 from .heightvalue import HeightValue, ZERO, as_height, is_prime
+from .quantize import family_providers
 
 KIND_POLARIZATION = "polarization"
 KIND_CANONICAL = "relative-canonical"
@@ -160,9 +161,9 @@ class IntersectionModel:
     deg_LK: Fraction
     fibers: tuple = ()
     generic_degrees: Mapping[tuple, Fraction] = field(default_factory=dict)
-    # non-serialized side channel for family builders (closed-form Gram
-    # providers, geometry kind); carried through functional transforms
-    hooks: object = field(default=None, compare=False, repr=False)
+    # id in quantize.FAMILIES of the closed-form providers (Gram,
+    # arithmetic degrees, geometry kind); carried through form changes
+    family: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))
@@ -185,6 +186,8 @@ class IntersectionModel:
         gd = {form_key(k): Fraction(v)
               for k, v in dict(self.generic_degrees).items()}
         object.__setattr__(self, "generic_degrees", gd)
+        if self.family is not None:
+            family_providers(self.family)
 
     # -- helpers ------------------------------------------------------
 
@@ -244,7 +247,7 @@ class IntersectionModel:
             form=SymmetricForm(self.n + 1, merged),
             L_class=self.L_class, K_class=self.K_class,
             deg_Ln=self.deg_Ln, deg_LK=self.deg_LK, fibers=self.fibers,
-            generic_degrees=self.generic_degrees, hooks=self.hooks)
+            generic_degrees=self.generic_degrees, family=self.family)
         kwargs.update(overrides)
         return IntersectionModel(**kwargs)
 
@@ -275,6 +278,7 @@ class IntersectionModel:
             } for f in self.fibers],
             "generic_degrees": {",".join(k): str(v)
                                 for k, v in sorted(self.generic_degrees.items())},
+            "family": self.family,
         }
 
     @staticmethod
@@ -298,7 +302,8 @@ class IntersectionModel:
             deg_Ln=Fraction(obj["deg_Ln"]), deg_LK=Fraction(obj["deg_LK"]),
             fibers=fibers,
             generic_degrees={tuple(k.split(",")): Fraction(v)
-                             for k, v in obj.get("generic_degrees", {}).items()})
+                             for k, v in obj.get("generic_degrees", {}).items()},
+            family=obj.get("family"))
 
     def save(self, path):
         with open(path, "w") as fh:

@@ -1,16 +1,16 @@
 """Quantized heights: section Grams, arithmetic degrees, Chow heights,
 balanced iteration and the dequantization / Hilbert-Samuel scans.
 
-v1 supports the P^1_Z / Fubini-Study family end to end; the entry
-points take family ids so further families can register providers.
+v1 supports the P^1_Z / Fubini-Study family end to end.  What a family
+provides to the scans and to balanced iteration is registered in
+`FAMILIES` under the id a model stores in its serialized `family` field.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,15 +76,55 @@ def l2_gram(family_id: str, m: int, metric_id: str = "fs",
                        volume_convention)
 
 
+def p1_deg_hat_table(m_max: int) -> list:
+    """-1/2 log det of the closed-form (m omega) Gram for m = 1..m_max.
+
+    log det = 2 sum_{a<=m} log a! - (m+1) log (m+1)! + (m+1) log m; the
+    first sum runs across m, while log (m+1)! comes from lgamma directly
+    because a difference of two running sums loses ~1e-9 at m ~ 2000.
+    """
+    out = []
+    log_fact_sum = 0.0
+    for m in range(1, m_max + 1):
+        log_fact_sum += math.lgamma(m + 1.0)
+        s = (2.0 * log_fact_sum - (m + 1) * math.lgamma(m + 2.0)
+             + (m + 1) * math.log(m))
+        out.append(-0.5 * s)
+    return out
+
+
 def p1_deg_hat(m: int, volume_convention: str = VOL_M_OMEGA) -> float:
-    """-1/2 log det of the closed-form Gram, summed in log space."""
-    s = 0.0
-    for a in range(m + 1):
-        s += math.lgamma(a + 1.0) + math.lgamma(m - a + 1.0) \
-            - math.lgamma(m + 2.0)
-    if volume_convention == VOL_M_OMEGA:
-        s += (m + 1) * math.log(m)
-    return -0.5 * s
+    """-1/2 log det of the closed-form Gram for one m."""
+    if m < 1:
+        raise ValidationError("tensor power m must be >= 1")
+    dh = p1_deg_hat_table(m)[-1]
+    if volume_convention != VOL_M_OMEGA:
+        dh += 0.5 * (m + 1) * math.log(m)
+    return dh
+
+
+class FamilyProviders(NamedTuple):
+    """What the quantized side knows about a family in closed form."""
+    geometry_kind: str
+    deg_hat_table: Callable[[int], list]   # m_max -> deg_hat(1..m_max)
+    rank: Callable[[int], int]
+    gram: Callable[[int, str], SectionGram]   # (m, convention) -> Gram
+
+
+FAMILIES = {
+    "p1-fs": FamilyProviders(
+        "sphere", p1_deg_hat_table, lambda m: m + 1,
+        lambda m, convention: l2_gram("p1-fs", m, "fs", convention)),
+}
+
+
+def family_providers(family_id: str | None) -> FamilyProviders:
+    """The providers registered for a model's family id."""
+    if family_id not in FAMILIES:
+        raise UnsupportedFamily(
+            f"no closed-form providers for family {family_id!r}; "
+            f"known: {sorted(FAMILIES)}")
+    return FAMILIES[family_id]
 
 
 # -- section values on the sphere grid --------------------------------
@@ -231,13 +271,6 @@ def htilde_c_of_gram(model, g: SectionGram,
 
 # -- scans ---------------------------------------------------------------
 
-def _thread_count() -> int:
-    env = os.environ.get("HEIGHTS_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 @dataclass
 class ScanResult:
     fitted_constant: float
@@ -246,31 +279,22 @@ class ScanResult:
     columns: tuple = ()
 
 
-def _require_p1_hooks(model):
-    hooks = getattr(model, "hooks", None) or {}
-    if "deg_hat" not in hooks:
-        raise UnsupportedFamily(
-            "scan needs a family with a closed-form arithmetic degree")
-    return hooks
-
-
 def hilbert_samuel_residual(model, m_max: int):
     """residual(m) = deg_hat(m) - [A m^{n+1}/(n+1)! - (L^n) m^n log m/(4 (n-1)!)
     - B m^n/(2 n!)] with A = (L^{n+1}), B = (L^n.K)."""
-    hooks = _require_p1_hooks(model)
+    fam = family_providers(model.family)
     if m_max < 1:
         raise ValidationError("m_max must be >= 1")
     n = model.n
     A = model.form.pair(*([model.L()] * (n + 1))).evaluate()
     B = model.form.pair(*([model.L()] * n + [model.K()])).evaluate()
     Ln = float(model.deg_Ln)
-    deg_hat = hooks["deg_hat"]
     out = []
-    for m in range(1, m_max + 1):
+    for m, dh in enumerate(fam.deg_hat_table(m_max), start=1):
         main = (A * m ** (n + 1) / math.factorial(n + 1)
                 - Ln * m ** n * math.log(m) / (4.0 * math.factorial(n - 1))
                 - B * m ** n / (2.0 * math.factorial(n)))
-        out.append((m, deg_hat(m, VOL_M_OMEGA) - main))
+        out.append((m, dh - main))
     return out
 
 
@@ -281,21 +305,16 @@ def dequantization_scan(model, m_max: int) -> ScanResult:
     The 1/m absorber needs the log m/m companion to reach the stated
     tolerance on the constant; see docs/normalization.md.
     """
-    hooks = _require_p1_hooks(model)
+    fam = family_providers(model.family)
     if m_max < 1:
         raise ValidationError("m_max must be >= 1")
     n, d = model.n, model.degree_KQ
     A = model.form.pair(*([model.L()] * (n + 1))).evaluate()
-    deg_hat, rank_of = hooks["deg_hat"], hooks["rank"]
-
-    def row(m):
-        dh = deg_hat(m, VOL_M_OMEGA)
+    table = []
+    for m, dh in enumerate(fam.deg_hat_table(m_max), start=1):
         hc = (m ** (n + 1) * A / ((n + 1) * m ** n * float(model.deg_Ln) * d)
-              - dh / (rank_of(m) * d))
-        return (m, dh, hc, hc - 0.25 * n * math.log(m))
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as ex:
-        table = list(ex.map(row, range(1, m_max + 1)))
+              - dh / (fam.rank(m) * d))
+        table.append((m, dh, hc, hc - 0.25 * n * math.log(m)))
 
     lo = max(1, m_max // 2)
     ms = np.array([r[0] for r in table if r[0] >= lo], float)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from heights import cli
 from heights.cli import main
 from heights.families import build_p1_fs
 
@@ -198,3 +199,45 @@ def test_deterministic_output(tmp_path, capsys):
                           "--out", str(path), "--emit", "json"], capsys)
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_scan_saved_model_matches_family(tmp_path, capsys):
+    path = tmp_path / "p1.json"
+    build_p1_fs().save(path)
+    outs = []
+    for source in (["--model", str(path)], ["--family", "p1-fs"]):
+        code, out, _ = run(["scan", *source, "--m-max", "200"], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_validate_unknown_family_exits_2(tmp_path, capsys):
+    obj = build_p1_fs().to_json()
+    obj["family"] = "p9"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(["validate", "--model", str(path)], capsys)
+    assert code == 2 and "UnsupportedFamily" in err
+
+
+def test_balanced_without_family_gram_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "balanced_iterate",
+                        lambda *a, **k: pytest.fail("iteration started"))
+    code, _, err = run(["balanced", "--family", "p2-blowup", "--m", "3"],
+                       capsys)
+    assert code == 2 and "UnsupportedFamily" in err
+
+
+def test_balanced_saved_model_matches_family(tmp_path, capsys):
+    model = tmp_path / "p1.json"
+    build_p1_fs().save(model)
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps([[0.5, 0.02], [0.02, 0.45]]))
+    outs = []
+    for source in (["--model", str(model)], ["--family", "p1-fs"]):
+        code, out, _ = run(["balanced", *source, "--m", "1",
+                            "--gram", str(gram)], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]

@@ -2,19 +2,24 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from heights.errors import (ConventionMismatch, NonPositiveDefinite,
-                            UnsupportedFamily, ValidationError)
+from heights.energies import apply_metric_change
+from heights.errors import (ConventionMismatch, GeometryMismatch,
+                            NonPositiveDefinite, UnsupportedFamily,
+                            ValidationError)
 from heights.families import build_p1_fs
-from heights.geometry import SphereGeometry
+from heights.geometry import SphereGeometry, TorusGeometry
+from heights.intersection import IntersectionModel
+from heights.potentials import PotentialField
 from heights.quantize import (SectionGram, arithmetic_degree, balanced_iterate,
                               balanced_step, bergman_density, chow_height,
                               dequantization_scan, extended_chow_height,
                               fubini_study_of, hilbert_samuel_residual,
                               l2_gram, l2_gram_quadrature, p1_deg_hat,
-                              p1_fs_gram_diag)
+                              p1_deg_hat_table, p1_fs_gram_diag)
 
 GEOM = SphereGeometry(128)
 MODEL = build_p1_fs()
@@ -42,6 +47,8 @@ def test_gram_validation():
         SectionGram(2, ("a",), np.eye(2), "omega")
     with pytest.raises(UnsupportedFamily):
         l2_gram("p9", 3)
+    with pytest.raises(ValidationError):
+        p1_deg_hat(0)
     with pytest.raises(NonPositiveDefinite):
         arithmetic_degree(SectionGram(
             1, ("a", "b"), np.diag([1.0, -1.0]), "omega"))
@@ -152,7 +159,46 @@ def test_gram_diag_volume_conventions():
     assert np.allclose(d2, 3.0 * d1)
 
 
-def test_scan_respects_thread_env(monkeypatch):
-    monkeypatch.setenv("HEIGHTS_THREADS", "1")
+def test_scan_rows_in_m_order():
     res = dequantization_scan(MODEL, 10)
     assert [r[0] for r in res.table] == list(range(1, 11))
+    assert all(type(r[0]) is int and all(type(x) is float for x in r[1:])
+               for r in res.table)
+
+
+def test_deg_hat_table_matches_mpmath():
+    """-1/2 [sum_a log(a!(m-a)!/(m+1)!) + (m+1) log m] in 40 digits."""
+    table = p1_deg_hat_table(2000)
+    with mpmath.workdps(40):
+        for m in (1, 2, 200, 2000):
+            s = mpmath.fsum(mpmath.loggamma(a + 1) + mpmath.loggamma(m - a + 1)
+                            - mpmath.loggamma(m + 2) for a in range(m + 1))
+            want = float(-(s + (m + 1) * mpmath.log(m)) / 2)
+            assert table[m - 1] == pytest.approx(want, rel=1e-13, abs=0)
+            assert p1_deg_hat(m) == table[m - 1]
+
+
+def test_saved_p1_model_keeps_its_family(tmp_path):
+    path = tmp_path / "p1.json"
+    MODEL.save(path)
+    back = IntersectionModel.load(path)
+    assert back.family == "p1-fs"
+    assert dequantization_scan(back, 60).table == \
+        dequantization_scan(MODEL, 60).table
+    assert hilbert_samuel_residual(back, 60) == \
+        hilbert_samuel_residual(MODEL, 60)
+    torus = TorusGeometry(1j, n=16, degree=1)
+    with pytest.raises(GeometryMismatch):
+        apply_metric_change(back, PotentialField.constant(torus, 0.0))
+
+
+def test_model_json_family_key():
+    obj = MODEL.to_json()
+    del obj["family"]                 # files written before the field
+    old = IntersectionModel.from_json(obj)
+    assert old.family is None
+    with pytest.raises(UnsupportedFamily):
+        dequantization_scan(old, 10)
+    obj["family"] = "p9"
+    with pytest.raises(UnsupportedFamily):
+        IntersectionModel.from_json(obj)
