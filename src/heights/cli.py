@@ -46,7 +46,7 @@ def _load_family(args):
     if fam in ("p1-fs", "p1"):
         return build_p1_fs(), None
     if fam == "p2-blowup":
-        primes = _parse_primes(args.primes) if args.primes else (2, 3, 5)
+        primes = _parse_primes(getattr(args, "primes", None) or "2,3,5")
         pair = build_p2_blowup_family(primes)
         return pair.model, pair
     raise ValidationError(f"unknown family {fam!r}; pass --family or --model")
@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kind", choices=("dequantization", "hilbert-samuel"),
                    default="dequantization")
     s.add_argument("--m-max", type=int, required=True)
-    s.add_argument("--primes", default=None)
     s.add_argument("--out", default=None)
     s.set_defaults(func=run_scan)
 
@@ -278,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--max-iter", type=int, default=200)
     b.add_argument("--grid", type=int, default=128)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--primes", default=None)
     b.add_argument("--out", default=None)
     b.set_defaults(func=run_balanced)
 

@@ -105,7 +105,7 @@ def apply_metric_change(model, phi: PotentialField):
     Kk = model.K_class
     log_ratio = np.log(phi.omega_phi)
     ric0 = g.ric
-    ric_phi = ric0 - g.ddc(log_ratio)
+    ric_phi = ricci_density(g, phi.omega_phi)
     dA = beta * g.quad(phi.samples * (1.0 + phi.omega_phi))
     dB = beta * (g.quad(phi.samples * (-ric0))
                  + g.quad(log_ratio * phi.omega_phi))

@@ -79,26 +79,16 @@ class SphereGeometry:
             self._block_cache[m] = P
         return P
 
-    def _apply_spectral(self, f: np.ndarray, multiplier) -> np.ndarray:
-        """Analysis -> multiply by multiplier(l) -> synthesis."""
-        fm = np.fft.fft(f, axis=1) / self.n_psi
-        out = np.zeros_like(fm)
-        wt = self._w_theta
-        lam = multiplier(np.arange(self.lmax + 1).astype(float))
-        for idx in range(self.n_psi):
-            m = idx if idx <= self.n_psi // 2 else idx - self.n_psi
-            am = abs(m)
-            if am > self.lmax:
-                continue
-            P = self._legendre_block(am)
-            coeff = P @ (wt * fm[:, idx])
-            out[:, idx] = P.T @ (lam[am:] * coeff)
-        return np.fft.ifft(out * self.n_psi, axis=1).real
-
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        """Laplace-Beltrami of the unit sphere (eigenvalues -l(l+1))."""
-        return self._apply_spectral(np.asarray(f, float),
-                                    lambda l: -l * (l + 1.0))
+        """Laplace-Beltrami of the unit sphere (eigenvalues -l(l+1)):
+        rfft in psi, then Legendre analysis and synthesis per order."""
+        fm = np.fft.rfft(np.asarray(f, float), axis=1)
+        out = np.zeros_like(fm)
+        lam = -np.arange(self.lmax + 1.0) * np.arange(1.0, self.lmax + 2.0)
+        for m in range(self.lmax + 1):
+            P = self._legendre_block(m)
+            out[:, m] = P.T @ (lam[m:] * (P @ (self._w_theta * fm[:, m])))
+        return np.fft.irfft(out, n=self.n_psi, axis=1)
 
     def ddc(self, u: np.ndarray) -> np.ndarray:
         # (i/2pi) del delbar u has density Delta_{S^2} u w.r.t. dA/(4pi)
@@ -108,28 +98,25 @@ class SphereGeometry:
         """Sum of real spherical harmonics; coeffs maps (l, m) -> float
         with 0 <= m <= l (cos branch for m >= 0 keyed (l, m), sin branch
         keyed (l, -m))."""
-        f = np.zeros(self.shape)
+        a = np.zeros((self.lmax + 1, self.lmax + 1), complex)   # [m, l]
         for (l, m), c in coeffs.items():
             am = abs(m)
             if l > self.lmax or am > l:
                 raise ValidationError("harmonic index beyond grid band limit")
-            P = self._legendre_block(am)[l - am]
-            if m >= 0:
-                ang = np.cos(m * self.psi)
-            else:
-                ang = np.sin(am * self.psi)
-            f += c * np.outer(P, ang)
-        return f
+            a[am, l] += c if m >= 0 else -1j * c
+        out = np.zeros((self.n_theta, self.n_psi // 2 + 1), complex)
+        for m in range(self.lmax + 1):
+            if a[m].any():
+                out[:, m] = self._legendre_block(m).T @ a[m, m:]
+        # irfft counts every order m > 0 twice, once for +m and once for -m
+        out[:, 1:] /= 2.0
+        return np.fft.irfft(out * self.n_psi, n=self.n_psi, axis=1)
 
-    def random_potential(self, rng, lband: int = 12,
-                         amplitude: float = 0.05) -> np.ndarray:
-        coeffs = {}
-        for l in range(1, lband + 1):
-            for m in range(-l, l + 1):
-                coeffs[(l, m)] = rng.normal() / (1.0 + l) ** 2
-        f = self.synth_harmonics(coeffs)
-        peak = np.max(np.abs(self.laplacian(f)))
-        return f * (amplitude / max(peak, 1e-30) * 8.0)
+    def random_potential(self, rng) -> np.ndarray:
+        """Unscaled random field of degrees 1..12 (see PotentialField.random)."""
+        return self.synth_harmonics({(l, m): rng.normal() / (1.0 + l) ** 2
+                                     for l in range(1, 13)
+                                     for m in range(-l, l + 1)})
 
     # affine coordinate |z| = tan(theta/2) for section evaluation
     def log_t2(self) -> np.ndarray:
@@ -174,21 +161,20 @@ class TorusGeometry:
         # mu_ref of mass V over area Im(tau) this is (Im tau/(4 pi V)) Delta u
         return (self.tau.imag / (4.0 * np.pi * self.V)) * self.laplacian(u)
 
-    def random_potential(self, rng, band: int = 6,
-                         amplitude: float = 0.05) -> np.ndarray:
+    def random_potential(self, rng) -> np.ndarray:
+        """Unscaled random trigonometric field of bandwidth 6."""
         x = np.arange(self.n) / self.n
         xx, yy = np.meshgrid(x, x, indexing="ij")
         f = np.zeros(self.shape)
-        for k in range(-band, band + 1):
-            for l in range(-band, band + 1):
+        for k in range(-6, 7):
+            for l in range(-6, 7):
                 if k == 0 and l == 0:
                     continue
                 c = rng.normal() / (1.0 + k * k + l * l)
                 s = rng.normal() / (1.0 + k * k + l * l)
                 ang = 2.0 * np.pi * (k * xx + l * yy)
                 f += c * np.cos(ang) + s * np.sin(ang)
-        peak = np.max(np.abs(self.ddc(f)))
-        return f * (amplitude / max(peak, 1e-30) * 8.0)
+        return f
 
 
 def make_geometry(kind: str, **kw):

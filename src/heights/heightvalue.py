@@ -22,18 +22,35 @@ def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+# Miller-Rabin on these bases is exact below _MR_BOUND (Sorenson-Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(k: int) -> bool:
+    """Deterministic Miller-Rabin; labels >= _MR_BOUND raise NonPrimeLabel."""
     if k < 2:
         return False
-    if k < 4:
-        return True
-    if k % 2 == 0:
-        return False
-    f = 3
-    while f * f <= k:
-        if k % f == 0:
+    if k >= _MR_BOUND:
+        raise NonPrimeLabel(f"log label {k} is at or above {_MR_BOUND}, "
+                            "where the primality test is not exact")
+    for p in _MR_BASES:         # trial division decides every k < 41^2
+        if k % p == 0:
+            return k == p
+        if p * p > k:
+            return True
+    s = ((k - 1) & (1 - k)).bit_length() - 1     # k - 1 = d * 2^s, d odd
+    d = (k - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, k)
+        if x == 1 or x == k - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % k
+            if x == k - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -157,15 +174,9 @@ class HeightValue:
 
     @staticmethod
     def from_json(obj: dict) -> "HeightValue":
-        logs = {}
-        for k, v in obj.get("logs", {}).items():
-            kk = int(k)
-            if not is_prime(kk):
-                raise NonPrimeLabel(f"log label {k} is not prime")
-            logs[kk] = Fraction(v)
         return HeightValue(
             Fraction(obj.get("const", 0)),
-            logs,
+            {int(k): Fraction(v) for k, v in obj.get("logs", {}).items()},
             float(obj.get("real", 0.0)),
             bool(obj.get("real_exact", obj.get("real", 0.0) == 0.0)),
         )

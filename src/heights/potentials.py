@@ -43,9 +43,13 @@ class PotentialField:
         return PotentialField(geometry, geometry.synth_harmonics(coeffs))
 
     @staticmethod
-    def random(geometry, seed: int, **kw) -> "PotentialField":
-        rng = np.random.default_rng(seed)
-        return PotentialField(geometry, geometry.random_potential(rng, **kw))
+    def random(geometry, seed: int) -> "PotentialField":
+        """Seeded random potential scaled to max|ddc phi| = 0.4, so that
+        omega_phi >= 0.6; one ddc transform serves scale and field."""
+        samples = geometry.random_potential(np.random.default_rng(seed))
+        ddc = geometry.ddc(samples)
+        s = 0.4 / max(np.max(np.abs(ddc)), 1e-30)
+        return PotentialField(geometry, s * samples, _ddc=s * ddc)
 
     def __add__(self, other: "PotentialField") -> "PotentialField":
         if other.geometry is not self.geometry:

@@ -92,6 +92,16 @@ def test_scan_mmax_zero_exits_2(capsys):
     assert code == 2
 
 
+def test_scan_and_balanced_reject_primes(capsys):
+    # neither subcommand takes a family that uses primes
+    for argv in (["scan", "--family", "p1-fs", "--m-max", "5"],
+                 ["balanced", "--family", "p1-fs", "--m", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--primes", "2"])
+        assert exc.value.code == 2
+        assert "--primes" in capsys.readouterr().err
+
+
 def test_scan_hilbert_samuel(tmp_path, capsys):
     out_path = tmp_path / "hs.csv"
     code, out, _ = run(["scan", "--family", "p1-fs", "--m-max", "60",

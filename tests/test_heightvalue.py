@@ -1,6 +1,7 @@
 """Property tests for the exact log-linear number type."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,24 @@ def test_str_has_symbolic_logs():
 
 def test_is_prime_small():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    n = 10 ** 5
+    sieve = [False, False] + [True] * (n - 2)
+    for p in range(2, int(n ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, n, p))
+    assert [k for k in range(n) if is_prime(k)] == \
+        [k for k in range(n) if sieve[k]]
+    # strong pseudoprimes to the first bases, and a Carmichael number
+    for k in (2047, 1373653, 3215031751, 3825123056546413051, 561):
+        assert not is_prime(k)
+    assert is_prime(10 ** 9 + 7) and is_prime(2 ** 61 - 1)
+
+
+def test_huge_label_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(NonPrimeLabel, match="3317044064679887385961981"):
+        HeightValue(log_terms={10 ** 29 + 7: 1})
+    assert time.perf_counter() - start < 1.0
 
 
 def test_as_height_coercions():

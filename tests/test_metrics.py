@@ -28,12 +28,72 @@ def test_reference_measure_mass():
 
 
 def test_sphere_spectral_eigenfunctions():
-    for (l, m) in [(1, 0), (2, 1), (5, -3)]:
-        f = SPHERE.synth_harmonics({(l, m): 1.0})
-        lap = SPHERE.laplacian(f)
-        # high-l recurrence drift times the l(l+1) multiplier caps the
-        # discrete operator accuracy near 1e-7 on this grid
-        assert np.max(np.abs(lap + l * (l + 1) * f)) < 1e-6
+    for g in (SPHERE, SphereGeometry(16, n_psi=33)):
+        for (l, m) in [(1, 0), (2, 1), (5, -3)]:
+            f = g.synth_harmonics({(l, m): 1.0})
+            lap = g.laplacian(f)
+            # numpy leggauss weights are off by ~1e-11 relative at
+            # n_theta 128; analysis leaks that into every degree, and the
+            # l(l+1) multiplier of the high degrees lifts it to ~1e-7
+            assert np.max(np.abs(lap + l * (l + 1) * f)) < 1e-6
+
+
+def complex_fft_laplacian(g, f):
+    """Reference sphere Laplacian: full complex FFT in psi, one Legendre
+    analysis and synthesis for each of +m and -m."""
+    fm = np.fft.fft(f, axis=1) / g.n_psi
+    out = np.zeros_like(fm)
+    lam = -np.arange(g.lmax + 1.0) * np.arange(1.0, g.lmax + 2.0)
+    for idx in range(g.n_psi):
+        m = idx if idx <= g.n_psi // 2 else idx - g.n_psi
+        if abs(m) > g.lmax:
+            continue
+        P = g._legendre_block(abs(m))
+        out[:, idx] = P.T @ (lam[abs(m):] * (P @ (g._w_theta * fm[:, idx])))
+    return np.fft.ifft(out * g.n_psi, axis=1).real
+
+
+def test_laplacian_matches_complex_fft_reference():
+    rng = np.random.default_rng(0)
+    for shape in [(16, 32), (16, 33), (128, 256)]:
+        g = SphereGeometry(*shape)
+        # white noise carries the Nyquist column and degrees above lmax
+        f = rng.normal(size=g.shape)
+        want = complex_fft_laplacian(g, f)
+        got = g.laplacian(f)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_synth_harmonics_matches_outer_products():
+    coeffs = {(0, 0): 0.3, (1, 0): -1.1, (3, 2): 0.7, (3, -2): -0.4,
+              (5, 2): 1.3, (4, -1): 0.9, (6, 6): -0.2, (6, -6): 0.5}
+    for n_psi in (32, 33):
+        g = SphereGeometry(16, n_psi=n_psi)
+        want = np.zeros(g.shape)
+        for (l, m), c in coeffs.items():
+            P = g._legendre_block(abs(m))[l - abs(m)]
+            ang = np.cos(m * g.psi) if m >= 0 else np.sin(-m * g.psi)
+            want += c * np.outer(P, ang)
+        got = g.synth_harmonics(coeffs)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    with pytest.raises(ValidationError):
+        SPHERE.synth_harmonics({(2, 3): 1.0})
+
+
+@pytest.mark.parametrize("geometry", [SPHERE, TorusGeometry(0.3 + 1j, n=32,
+                                                            degree=2)])
+def test_random_potential_takes_one_transform(geometry, monkeypatch):
+    # both geometries take ddc through laplacian, so this counts every
+    # transform, including any taken inside random_potential
+    calls = []
+    laplacian = geometry.laplacian
+    monkeypatch.setattr(geometry, "laplacian",
+                        lambda u: calls.append(1) or laplacian(u))
+    phi = PotentialField.random(geometry, 6)
+    assert len(calls) == 1
+    peak = np.max(np.abs(phi.ddc))
+    assert peak == pytest.approx(0.4, rel=1e-15)
+    assert np.max(np.abs(phi.ddc - geometry.ddc(phi.samples))) <= 1e-12 * peak
 
 
 def test_ddc_integrates_to_zero():
@@ -141,6 +201,13 @@ def test_potential_csv_roundtrip(tmp_path):
     assert back.geometry.kind == "torus"
     assert back.geometry.tau == t.tau
     assert np.max(np.abs(back.samples - pt.samples)) < 1e-12
+
+    odd = PotentialField.random(SphereGeometry(16, n_psi=33), 3)
+    r = tmp_path / "odd.csv"
+    save_potential_csv(odd, r)
+    back = load_potential_csv(r)
+    assert back.geometry.shape == (16, 33)
+    assert np.max(np.abs(back.samples - odd.samples)) < 1e-12
 
 
 def test_make_geometry_rejects_unknown():
