@@ -36,7 +36,15 @@ EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC = 0, 2, 3
 
 
 def _parse_primes(s: str):
-    return tuple(int(p) for p in s.split(",") if p.strip())
+    primes = []
+    for tok in s.split(","):
+        if tok.strip():
+            try:
+                primes.append(int(tok))
+            except ValueError:
+                raise ValidationError(
+                    f"--primes: {tok.strip()!r} is not an integer") from None
+    return tuple(primes)
 
 
 def _load_family(args):

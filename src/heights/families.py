@@ -121,10 +121,20 @@ def build_p2_blowup_family(primes=(2, 3, 5), twist: int = 2,
     for f in fnames:
         subs[f] = FormalSum(f)
 
+    # joint form over {L, K, F_p, L_base, K_base}; the blown-up model's
+    # entries are its restriction to the blown-up classes
     blown_names = ["L", "K"] + fnames
-    blown_entries = {}
-    for key in itertools.combinations_with_replacement(sorted(blown_names), 3):
-        blown_entries[key] = prim.pair(*(subs[nm] for nm in key))
+    subs["L_base"] = FormalSum("Lb")
+    subs["K_base"] = FormalSum("Kb")
+    joint_names = blown_names + ["L_base", "K_base"]
+    joint_entries = {
+        key: prim.pair(*(subs[nm] for nm in key))
+        for key in itertools.combinations_with_replacement(
+            sorted(joint_names), 3)}
+    blown_entries = {
+        key: joint_entries[key]
+        for key in itertools.combinations_with_replacement(
+            sorted(blown_names), 3)}
     blown_classes = [DivisorClassId("L", KIND_POLARIZATION),
                      DivisorClassId("K", KIND_CANONICAL)]
     for p in primes:
@@ -152,16 +162,8 @@ def build_p2_blowup_family(primes=(2, 3, 5), twist: int = 2,
             raise ValidationError(
                 "rule-based form disagrees with the toric oracle")
 
-    # joint form over {L, K, F_p, L_base, K_base}
-    subs_joint = dict(subs)
-    subs_joint["L_base"] = FormalSum("Lb")
-    subs_joint["K_base"] = FormalSum("Kb")
-    joint_names = blown_names + ["L_base", "K_base"]
-    joint_entries = {}
-    for key in itertools.combinations_with_replacement(sorted(joint_names), 3):
-        joint_entries[key] = prim.pair(*(subs_joint[nm] for nm in key))
-    joint = SymmetricForm(3, joint_entries)
-    return ModelPair(model=blown, ref=base, joint_form=joint,
+    return ModelPair(model=blown, ref=base,
+                     joint_form=SymmetricForm(3, joint_entries),
                      model_map={nm: nm for nm in blown_names},
                      ref_map={"L": "L_base", "K": "K_base"})
 

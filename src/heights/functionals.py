@@ -11,9 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import (GenericFiberMismatch, NegativeArchTerm, UnknownComponent,
-                     UnknownPrime, ZeroCoverDegree, ZeroSelfIntersection,
-                     ValidationError)
+from .errors import (GenericFiberMismatch, NegativeArchTerm, NonPrimeLabel,
+                     UnknownComponent, UnknownPrime, ZeroCoverDegree,
+                     ZeroSelfIntersection, ValidationError)
 from .heightvalue import HeightValue, ZERO, is_prime
 from .intersection import (FormalSum, IntersectionModel, ModelPair, form_key)
 
@@ -196,7 +196,7 @@ def twist_by_base_divisor(m: IntersectionModel,
     T = ZERO
     for p, c in D.items():
         if not is_prime(p):
-            raise ValidationError(f"base divisor label {p} is not prime")
+            raise NonPrimeLabel(f"base divisor label {p} is not prime")
         T = T + HeightValue(log_terms={p: Fraction(c)})
     if T.is_zero(0.0):
         return m

@@ -11,13 +11,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (GenericFiberMismatch, IncompleteJointForm, MissingClass,
                      MissingGenericDegree, NonPrimeLabel, ValidationError)
-from .heightvalue import HeightValue, ZERO, as_height, is_prime
+from .heightvalue import HeightValue, as_height, is_prime
 from .quantize import family_providers
 
 KIND_POLARIZATION = "polarization"
@@ -125,21 +127,38 @@ class SymmetricForm:
         return self.entries[k]
 
     def pair(self, *combos) -> HeightValue:
-        """Multilinear evaluation on `arity` formal combinations."""
+        """Multilinear evaluation on `arity` formal combinations.
+
+        The slots are multiplied out one at a time into merged rational
+        coefficients per multiset of names, so each form entry is read
+        once.  Every multiset the product reaches is looked up, also
+        where its coefficients cancel to zero, so that a missing
+        monomial raises IncompleteJointForm and real_exact covers it.
+        """
         if len(combos) != self.arity:
             raise ValidationError(
                 f"expected {self.arity} slots, got {len(combos)}")
-        combos = [_as_sum(c) for c in combos]
-        total = ZERO
-        for picks in itertools.product(*(c.items() for c in combos)):
-            coeff = Fraction(1)
-            names = []
-            for name, q in picks:
-                coeff *= q
-                names.append(name)
-            if coeff != 0:
-                total = total + self.value(names).scale(coeff)
-        return total
+        coeffs = {(): Fraction(1)}
+        for combo in combos:
+            terms = [(name, q) for name, q in _as_sum(combo).items() if q]
+            merged = {}
+            for key, c in coeffs.items():
+                for name, q in terms:
+                    k = form_key(key + (name,))
+                    cq = c * q
+                    merged[k] = merged[k] + cq if k in merged else cq
+            coeffs = merged
+        const, logs, real, real_exact = Fraction(0), {}, 0.0, True
+        for key, c in coeffs.items():
+            v = self.value(key)
+            real_exact = real_exact and v.real_exact
+            if not c:
+                continue
+            const += c * v.const_part
+            for p, lc in v.log_terms.items():
+                logs[p] = logs[p] + c * lc if p in logs else c * lc
+            real += float(c) * v.real_part
+        return HeightValue(const, logs, real, real_exact)
 
     def is_total_over(self, names: Sequence[str]) -> bool:
         for key in itertools.combinations_with_replacement(sorted(names),
@@ -283,27 +302,38 @@ class IntersectionModel:
 
     @staticmethod
     def from_json(obj: dict) -> "IntersectionModel":
-        classes = []
-        for c in obj["classes"]:
-            classes.append(DivisorClassId(
+        with _json_field("classes"):
+            classes = [DivisorClassId(
                 name=c["name"], kind=c.get("kind", KIND_AUXILIARY),
-                prime=c.get("prime"), component_id=c.get("component")))
-        entries = {tuple(k.split(",")): HeightValue.from_json(v)
-                   for k, v in obj["form"].items()}
-        fibers = [FiberComponent(
-            prime=f["prime"], component_id=f["component_id"],
-            deg_L=Fraction(f["deg_L"]), deg_LK=Fraction(f["deg_LK"]),
-            fiber_multiplicity=f.get("fiber_multiplicity", 1))
-            for f in obj.get("fibers", [])]
+                prime=c.get("prime"), component_id=c.get("component"))
+                for c in obj["classes"]]
+        entries = {}
+        with _json_field("form"):
+            raw_form = obj["form"].items()
+        for k, v in raw_form:
+            with _json_field(f"form[{k}]"):
+                entries[tuple(k.split(","))] = HeightValue.from_json(v)
+        with _json_field("fibers"):
+            fibers = [FiberComponent(
+                prime=f["prime"], component_id=f["component_id"],
+                deg_L=Fraction(f["deg_L"]), deg_LK=Fraction(f["deg_LK"]),
+                fiber_multiplicity=f.get("fiber_multiplicity", 1))
+                for f in obj.get("fibers", [])]
+        with _json_field("generic_degrees"):
+            generic_degrees = {
+                tuple(k.split(",")): Fraction(v)
+                for k, v in obj.get("generic_degrees", {}).items()}
+        fields = {}
+        for name, convert in (("n", operator.index),
+                              ("degree_KQ", operator.index),
+                              ("deg_Ln", Fraction), ("deg_LK", Fraction),
+                              ("L_class", str), ("K_class", str)):
+            with _json_field(name):
+                fields[name] = convert(obj[name])
         return IntersectionModel(
-            n=obj["n"], degree_KQ=obj["degree_KQ"], classes=classes,
-            form=SymmetricForm(obj["n"] + 1, entries),
-            L_class=obj["L_class"], K_class=obj["K_class"],
-            deg_Ln=Fraction(obj["deg_Ln"]), deg_LK=Fraction(obj["deg_LK"]),
-            fibers=fibers,
-            generic_degrees={tuple(k.split(",")): Fraction(v)
-                             for k, v in obj.get("generic_degrees", {}).items()},
-            family=obj.get("family"))
+            classes=classes, form=SymmetricForm(fields["n"] + 1, entries),
+            fibers=fibers, generic_degrees=generic_degrees,
+            family=obj.get("family"), **fields)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -313,6 +343,17 @@ class IntersectionModel:
     def load(path) -> "IntersectionModel":
         with open(path) as fh:
             return IntersectionModel.from_json(json.load(fh))
+
+
+@contextmanager
+def _json_field(name: str):
+    """Re-raise a malformed or missing model-JSON field as ValidationError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"model field {name!r} is missing or malformed: "
+            f"{type(exc).__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)

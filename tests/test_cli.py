@@ -51,6 +51,46 @@ def test_compute_bad_model_composite_prime(tmp_path, capsys):
     assert code == 2 and "NonPrimeLabel" in err
 
 
+def _malform_deg_ln(obj):
+    obj["deg_Ln"] = "abc"
+
+
+def _drop_k_class(obj):
+    del obj["K_class"]
+
+
+def _bad_log_label(obj):
+    obj["form"]["K,L"] = {"const": "0", "logs": {"x": "1"},
+                          "real": 0.0, "real_exact": True}
+
+
+def _string_degree(obj):
+    obj["degree_KQ"] = "1"
+
+
+@pytest.mark.parametrize("malform, field", [
+    (_malform_deg_ln, "deg_Ln"),
+    (_drop_k_class, "K_class"),
+    (_bad_log_label, "form[K,L]"),
+    (_string_degree, "degree_KQ"),
+])
+def test_malformed_model_field_exits_2(tmp_path, capsys, malform, field):
+    obj = build_p1_fs().to_json()
+    malform(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    for argv in (["validate", "--model", str(bad)],
+                 ["compute", "--model", str(bad)]):
+        code, _, err = run(argv, capsys)
+        assert code == 2 and "ValidationError" in err and field in err
+
+
+def test_compute_bad_primes_token_exits_2(capsys):
+    code, _, err = run(["compute", "--family", "p2-blowup",
+                        "--primes", "2,x"], capsys)
+    assert code == 2 and "ValidationError" in err and "'x'" in err
+
+
 def test_compute_pair_functionals(capsys):
     code, out, _ = run(["compute", "--family", "p2-blowup",
                         "--functional", "I,J", "--emit", "json"], capsys)

@@ -1,10 +1,14 @@
 """Models, forms, pairs and the exact functionals on them."""
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from heights import heightvalue, intersection
 from heights.errors import (IncompleteJointForm, MissingGenericDegree,
                             NonPrimeLabel, UnknownComponent, UnknownPrime,
                             ValidationError, ZeroCoverDegree)
@@ -12,6 +16,7 @@ from heights.heightvalue import HeightValue, ZERO
 from heights.intersection import (DivisorClassId, FiberComponent, FormalSum,
                                   IntersectionModel, ModelPair, SymmetricForm,
                                   form_key)
+from heights.families import _blowup_primitive_form, build_p2_blowup_family
 from heights.functionals import (component_twist_derivative, modular_height,
                                  na_calabi, na_scalar_curvature,
                                  normalized_df, normalized_df_twisted,
@@ -47,6 +52,116 @@ def test_form_missing_monomial_raises():
     form = SymmetricForm(2, {("L", "L"): ZERO})
     with pytest.raises(IncompleteJointForm):
         form.value(("L", "K"))
+
+
+def pair_by_product(form, *combos):
+    """Reference expansion: one term per element of the slots' product."""
+    total = ZERO
+    for picks in itertools.product(*(FormalSum(c).items() for c in combos)):
+        coeff = Fraction(1)
+        names = []
+        for name, q in picks:
+            coeff *= q
+            names.append(name)
+        if coeff != 0:
+            total = total + form.value(names).scale(coeff)
+    return total
+
+
+def real_term_size(form, *combos):
+    """Sum of |coefficient * real part| over the product terms; the float
+    remainders are compared relative to it, since terms can cancel."""
+    return sum(abs(float(math.prod(q for _, q in picks))
+                   * form.value([name for name, _ in picks]).real_part)
+               for picks in itertools.product(
+                   *(FormalSum(c).items() for c in combos)))
+
+
+def assert_same_pairing(got, want, size):
+    assert got.const_part == want.const_part
+    assert got.log_terms == want.log_terms
+    assert got.real_exact == want.real_exact
+    assert abs(got.real_part - want.real_part) <= 1e-14 * size
+
+
+NAMES = ("A", "B", "C", "D")
+fracs = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+form_values = st.builds(
+    HeightValue, fracs,
+    st.dictionaries(st.sampled_from((2, 3, 5)), fracs, max_size=2),
+    st.one_of(st.just(0.0), st.floats(min_value=-50, max_value=50,
+                                      allow_nan=False)),
+    st.booleans())
+slots = st.dictionaries(st.sampled_from(NAMES), fracs,
+                        max_size=len(NAMES)).map(FormalSum)
+
+
+@st.composite
+def forms_and_slots(draw):
+    arity = draw(st.sampled_from((2, 3)))
+    entries = {key: draw(form_values) for key in
+               itertools.combinations_with_replacement(NAMES, arity)}
+    return SymmetricForm(arity, entries), draw(st.lists(
+        slots, min_size=arity, max_size=arity))
+
+
+@given(forms_and_slots())
+@settings(max_examples=100, deadline=None)
+def test_pair_matches_product_expansion(case):
+    form, combos = case
+    assert_same_pairing(form.pair(*combos), pair_by_product(form, *combos),
+                        real_term_size(form, *combos))
+
+
+def test_pair_reads_cancelled_monomials():
+    # (A+B).(A-B): the A.B coefficients cancel, yet A.B must exist
+    form = SymmetricForm(2, {("A", "A"): HeightValue(1),
+                             ("B", "B"): HeightValue(2)})
+    plus = FormalSum({"A": 1, "B": 1})
+    minus = FormalSum({"A": 1, "B": -1})
+    with pytest.raises(IncompleteJointForm):
+        pair_by_product(form, plus, minus)
+    with pytest.raises(IncompleteJointForm, match="A,B"):
+        form.pair(plus, minus)
+    # the cancelled entry still decides real_exact
+    form = SymmetricForm(2, {("A", "A"): HeightValue(1),
+                             ("B", "B"): HeightValue(2),
+                             ("A", "B"): HeightValue(0, {}, 0.0, False)})
+    assert form.pair(plus, minus) == pair_by_product(form, plus, minus)
+    assert not form.pair(plus, minus).real_exact
+
+
+@pytest.mark.parametrize("primes", [(2, 3, 5), (2, 3, 5, 7, 11, 13)])
+def test_blowup_entries_match_product_expansion(primes):
+    t = 2
+    fs = [f"F{p}" for p in primes]
+    subs = {"L": FormalSum("Lb") - FormalSum({f: t for f in fs}),
+            "K": FormalSum("Kb") + FormalSum({f: 1 for f in fs}),
+            "L_base": FormalSum("Lb"), "K_base": FormalSum("Kb")}
+    subs.update({f: FormalSum(f) for f in fs})
+    prim = _blowup_primitive_form(primes)
+    pair = build_p2_blowup_family(primes, twist=t)
+    assert set(pair.joint_form.entries) == set(
+        itertools.combinations_with_replacement(sorted(subs), 3))
+    for key, val in pair.joint_form.entries.items():
+        assert val == pair_by_product(prim, *(subs[nm] for nm in key))
+    for key, val in pair.model.form.entries.items():
+        assert val == pair.joint_form.entries[key]
+
+
+def test_blowup_build_checks_few_labels(monkeypatch):
+    calls = 0
+    real_is_prime = heightvalue.is_prime
+
+    def counting_is_prime(k):
+        nonlocal calls
+        calls += 1
+        return real_is_prime(k)
+
+    monkeypatch.setattr(heightvalue, "is_prime", counting_is_prime)
+    monkeypatch.setattr(intersection, "is_prime", counting_is_prime)
+    build_p2_blowup_family((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert 0 < calls < 5000
 
 
 def test_model_requires_total_form():
@@ -122,6 +237,11 @@ def test_twist_by_base_divisor_preserves_hk():
     assert modular_height(tw).exact_eq(modular_height(m))
     # but the energy changes
     assert not tw.form.value(("L", "L")).exact_eq(m.form.value(("L", "L")))
+
+
+def test_twist_by_composite_label_rejected():
+    with pytest.raises(NonPrimeLabel):
+        twist_by_base_divisor(simple_model(), {2: Fraction(1), 6: Fraction(1)})
 
 
 def test_rescale_metric_const_preserves_hk():
