@@ -12,8 +12,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import HeightsError, NumericError, ValidationError
 from .families import (BrieskornPhamSpec, EllipticCurveData,
                        brieskorn_pham_analyze, build_p1_fs,
@@ -25,26 +23,26 @@ from .functionals import (arakelov_calabi, arakelov_energy, aubin_I_rel,
                           na_scalar_curvature, normalized_df,
                           relative_modular_height, ricci_energy_rel,
                           slope_semistability_test)
-from .geometry import SphereGeometry
 from .heightvalue import HeightValue
 from .intersection import IntersectionModel
-from .quantize import (VOL_M_OMEGA, SectionGram, balanced_iterate,
-                       dequantization_scan, family_providers,
-                       hilbert_samuel_residual)
+
+# numpy, mpmath and the spectral modules load only in the subcommands
+# that compute with them (scan, balanced, faltings)
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC = 0, 2, 3
 
 
-def _parse_primes(s: str):
-    primes = []
+def _parse_ints(option: str, s: str):
+    """Comma-separated integers; a bad token names the option."""
+    out = []
     for tok in s.split(","):
         if tok.strip():
             try:
-                primes.append(int(tok))
+                out.append(int(tok))
             except ValueError:
                 raise ValidationError(
-                    f"--primes: {tok.strip()!r} is not an integer") from None
-    return tuple(primes)
+                    f"{option}: {tok.strip()!r} is not an integer") from None
+    return tuple(out)
 
 
 def _load_family(args):
@@ -54,7 +52,8 @@ def _load_family(args):
     if fam in ("p1-fs", "p1"):
         return build_p1_fs(), None
     if fam == "p2-blowup":
-        primes = _parse_primes(getattr(args, "primes", None) or "2,3,5")
+        primes = _parse_ints("--primes",
+                             getattr(args, "primes", None) or "2,3,5")
         pair = build_p2_blowup_family(primes)
         return pair.model, pair
     raise ValidationError(f"unknown family {fam!r}; pass --family or --model")
@@ -120,7 +119,7 @@ def run_compute(args) -> int:
             rows.append(_height_report(
                 "ndf", normalized_df(model, args.cover_degree)))
         elif fn == "calabi":
-            primes = _parse_primes(args.primes) if args.primes \
+            primes = _parse_ints("--primes", args.primes) if args.primes \
                 else sorted({f.prime for f in model.fibers})
             rows.append(_height_report(
                 "calabi", arakelov_calabi(model, primes, args.arch_term)))
@@ -135,6 +134,8 @@ def run_compute(args) -> int:
 
 
 def run_scan(args) -> int:
+    from .quantize import dequantization_scan, hilbert_samuel_residual
+
     if args.m_max < 1:
         raise ValidationError("--m-max must be >= 1")
     model, _ = _load_family(args)
@@ -161,6 +162,12 @@ def run_scan(args) -> int:
 
 
 def run_balanced(args) -> int:
+    import numpy as np
+
+    from .geometry import SphereGeometry
+    from .quantize import (VOL_M_OMEGA, SectionGram, balanced_iterate,
+                           family_providers)
+
     if args.tol <= 0:
         raise ValidationError("--tol must be > 0")
     model, _ = _load_family(args)
@@ -197,7 +204,7 @@ def run_balanced(args) -> int:
 
 
 def run_bp(args) -> int:
-    weights = tuple(int(x) for x in args.weights.split(","))
+    weights = _parse_ints("--weights", args.weights)
     spec = BrieskornPhamSpec(weights, args.prime)
     rep = brieskorn_pham_analyze(spec, j_max=args.degree_bound)
     out = {k: (str(v) if isinstance(v, Fraction) else v)
@@ -213,7 +220,7 @@ def run_faltings(args) -> int:
     if args.curve:
         E = curve_from_label(args.curve)
     elif args.a_invariants:
-        a = tuple(int(x) for x in args.a_invariants.split(","))
+        a = _parse_ints("--a-invariants", args.a_invariants)
         if args.delta_min is None:
             raise ValidationError("--a-invariants needs --delta-min")
         E = EllipticCurveData(a, args.delta_min)

@@ -12,9 +12,8 @@ import numpy as np
 
 from .errors import ArityMismatch, GeometryMismatch, ValidationError
 from .functionals import model_beta
-from .intersection import form_key
+from .intersection import FAMILY_GEOMETRY, form_key
 from .potentials import PotentialField
-from .quantize import family_providers
 
 
 def am_energy(phi: PotentialField) -> float:
@@ -94,7 +93,7 @@ def apply_metric_change(model, phi: PotentialField):
     if model.n != 1:
         raise GeometryMismatch("quadrature backend covers n = 1 fibers only")
     if model.family is not None:
-        want = family_providers(model.family).geometry_kind
+        want = FAMILY_GEOMETRY[model.family]
         if want != g.kind:
             raise GeometryMismatch(
                 f"model expects a {want} fiber, got {g.kind}")

@@ -8,13 +8,11 @@ and the elliptic-curve height bridge.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
-import numpy as np
 
 from .errors import (BadTau, CoprimalityViolated, DuplicatePrime,
                      NonMinimalModel, ValidationError)
@@ -294,6 +292,8 @@ def brieskorn_pham_analyze(spec: BrieskornPhamSpec, j_max: int = 12) -> dict:
     """Local model at the bad prime: the cyclic quotient chart
     1/a_n(a_0..a_{n-1}), its Hilbert-Samuel multiplicity and the log
     discrepancies of the quadrant rays and barycenter valuation."""
+    if j_max < 1:
+        raise ValidationError(f"degree bound j_max must be >= 1, got {j_max}")
     w = spec.weights
     n = spec.n
     r = w[-1]
@@ -377,6 +377,8 @@ def curve_periods(curve: EllipticCurveData, prec: int = 50) -> dict:
     Returns omega1 (real > 0), omega2, tau = omega2/omega1 in the upper
     half plane and the covolume |Im(conj(omega1) * omega2)|.
     """
+    import mpmath   # the only user; the exact paths never load it
+
     b2, b4, b6, _ = curve.b_invariants()
     with mpmath.workdps(prec):
         roots = mpmath.polyroots([4, b2, 2 * b4, b6], maxsteps=200,
@@ -415,11 +417,11 @@ def curve_periods(curve: EllipticCurveData, prec: int = 50) -> dict:
 def dedekind_eta(tau: complex, terms: int = 80) -> complex:
     if tau.imag <= 0:
         raise BadTau("eta needs Im(tau) > 0")
-    q = np.exp(2j * np.pi * tau)
+    q = cmath.exp(2j * math.pi * tau)
     prod = 1.0 + 0j
     for k in range(1, terms + 1):
         prod *= 1.0 - q ** k
-    return np.exp(2j * np.pi * tau / 24.0) * prod
+    return cmath.exp(2j * math.pi * tau / 24.0) * prod
 
 
 def elliptic_faltings_height(curve: EllipticCurveData,
@@ -430,17 +432,17 @@ def elliptic_faltings_height(curve: EllipticCurveData,
     qexp: (1/12) log|delta_min| - log(2 pi) - 2 log|eta(tau)|
           - (1/2) log Im(tau); agm: -(1/2) log of the period covolume.
     """
+    if method not in ("qexp", "agm"):
+        raise ValidationError(f"unknown method {method!r}")
+    if method == "qexp" and eta_terms < 50:
+        raise ValidationError("eta product needs at least 50 terms")
     per = curve_periods(curve)
     if method == "agm":
         return -0.5 * math.log(per["area"])
-    if method != "qexp":
-        raise ValidationError(f"unknown method {method!r}")
     tau = per["tau"]
     # shift into |Re| <= 1/2 for fast q-convergence (eta transforms by a
     # phase under tau -> tau + 1, harmless inside log| |)
     tau = complex(tau.real - round(tau.real), tau.imag)
-    if eta_terms < 50:
-        raise ValidationError("eta product needs at least 50 terms")
     eta = dedekind_eta(tau, eta_terms)
     return (math.log(abs(curve.delta_min)) / 12.0 - LOG_2PI
             - 2.0 * math.log(abs(eta)) - 0.5 * math.log(tau.imag))

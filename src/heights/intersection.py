@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (GenericFiberMismatch, IncompleteJointForm, MissingClass,
-                     MissingGenericDegree, NonPrimeLabel, ValidationError)
+                     MissingGenericDegree, NonPrimeLabel, UnsupportedFamily,
+                     ValidationError)
 from .heightvalue import HeightValue, as_height, is_prime
-from .quantize import family_providers
 
 KIND_POLARIZATION = "polarization"
 KIND_CANONICAL = "relative-canonical"
@@ -29,6 +29,11 @@ KIND_BASE_PULLBACK = "base-pullback"
 KIND_AUXILIARY = "auxiliary"
 _KINDS = {KIND_POLARIZATION, KIND_CANONICAL, KIND_VERTICAL,
           KIND_BASE_PULLBACK, KIND_AUXILIARY}
+
+# the family ids a model may store in its `family` field, with the kind
+# of fiber geometry each expects; quantize.FAMILIES keys the closed-form
+# providers (Gram, arithmetic degrees) by the same ids
+FAMILY_GEOMETRY = {"p1-fs": "sphere"}
 
 
 @dataclass(frozen=True)
@@ -180,8 +185,7 @@ class IntersectionModel:
     deg_LK: Fraction
     fibers: tuple = ()
     generic_degrees: Mapping[tuple, Fraction] = field(default_factory=dict)
-    # id in quantize.FAMILIES of the closed-form providers (Gram,
-    # arithmetic degrees, geometry kind); carried through form changes
+    # id in FAMILY_GEOMETRY; carried through form changes
     family: str | None = None
 
     def __post_init__(self):
@@ -205,8 +209,10 @@ class IntersectionModel:
         gd = {form_key(k): Fraction(v)
               for k, v in dict(self.generic_degrees).items()}
         object.__setattr__(self, "generic_degrees", gd)
-        if self.family is not None:
-            family_providers(self.family)
+        if self.family is not None and self.family not in FAMILY_GEOMETRY:
+            raise UnsupportedFamily(
+                f"no closed-form providers for family {self.family!r}; "
+                f"known: {sorted(FAMILY_GEOMETRY)}")
 
     # -- helpers ------------------------------------------------------
 

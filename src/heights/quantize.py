@@ -3,7 +3,8 @@ balanced iteration and the dequantization / Hilbert-Samuel scans.
 
 v1 supports the P^1_Z / Fubini-Study family end to end.  What a family
 provides to the scans and to balanced iteration is registered in
-`FAMILIES` under the id a model stores in its serialized `family` field.
+`FAMILIES` under the id a model stores in its serialized `family` field
+(the ids of `intersection.FAMILY_GEOMETRY`).
 """
 
 from __future__ import annotations
@@ -105,7 +106,6 @@ def p1_deg_hat(m: int, volume_convention: str = VOL_M_OMEGA) -> float:
 
 class FamilyProviders(NamedTuple):
     """What the quantized side knows about a family in closed form."""
-    geometry_kind: str
     deg_hat_table: Callable[[int], list]   # m_max -> deg_hat(1..m_max)
     rank: Callable[[int], int]
     gram: Callable[[int, str], SectionGram]   # (m, convention) -> Gram
@@ -113,7 +113,7 @@ class FamilyProviders(NamedTuple):
 
 FAMILIES = {
     "p1-fs": FamilyProviders(
-        "sphere", p1_deg_hat_table, lambda m: m + 1,
+        p1_deg_hat_table, lambda m: m + 1,
         lambda m, convention: l2_gram("p1-fs", m, "fs", convention)),
 }
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from heights import cli
+from heights import quantize
 from heights.cli import main
 from heights.families import build_p1_fs
 
@@ -198,6 +198,23 @@ def test_bp_bad_weights_exits_2(capsys):
     assert code == 2 and "CoprimalityViolated" in err
 
 
+def test_bp_weights_token_exits_2(capsys):
+    code, _, err = run(["bp", "--weights", "8,x,7", "--prime", "11"], capsys)
+    assert code == 2 and "--weights: 'x' is not an integer" in err
+
+
+def test_bp_degree_bound_zero_exits_2(capsys):
+    code, out, err = run(["bp", "--weights", "8,15,7", "--prime", "11",
+                          "--degree-bound", "0"], capsys)
+    assert code == 2 and "ValidationError" in err and out == ""
+
+
+def test_faltings_a_invariants_token_exits_2(capsys):
+    code, _, err = run(["faltings", "--a-invariants", "0,0,1,x,0",
+                        "--delta-min", "37"], capsys)
+    assert code == 2 and "--a-invariants: 'x' is not an integer" in err
+
+
 def test_faltings_both_methods(capsys):
     code, out, _ = run(["faltings", "--curve", "37a1", "--emit", "json",
                         "--polarization", "2"], capsys)
@@ -272,7 +289,7 @@ def test_validate_unknown_family_exits_2(tmp_path, capsys):
 
 
 def test_balanced_without_family_gram_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "balanced_iterate",
+    monkeypatch.setattr(quantize, "balanced_iterate",
                         lambda *a, **k: pytest.fail("iteration started"))
     code, _, err = run(["balanced", "--family", "p2-blowup", "--m", "3"],
                        capsys)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from heights import families
 from heights.errors import (CoprimalityViolated, DuplicatePrime,
                             NonMinimalModel, OutsideCone, ValidationError)
 from heights.families import (BrieskornPhamSpec, CongruenceSemigroup,
@@ -148,6 +149,14 @@ def test_stable_spec_not_flagged():
 
 # -- elliptic curves -------------------------------------------------------
 
+def test_degree_bound_must_be_positive():
+    spec = BrieskornPhamSpec((8, 15, 7), 11)
+    for j_max in (0, -3):
+        with pytest.raises(ValidationError, match="j_max"):
+            brieskorn_pham_analyze(spec, j_max=j_max)
+    assert brieskorn_pham_analyze(spec, j_max=1)["lengths"] == [1]
+
+
 def test_discriminant_validation():
     E = curve_from_label("37a1")
     assert E.discriminant() == 37
@@ -194,10 +203,15 @@ def test_agm_periods_match_quadrature(label):
         assert 2 * per["omega2"].imag == pytest.approx(float(nu), abs=1e-8)
 
 
-def test_eta_terms_guard():
+def test_eta_terms_guard(monkeypatch):
     E = curve_from_label("37a1")
+    # bad arguments fail before the 50-digit period computation
+    monkeypatch.setattr(families, "curve_periods",
+                        lambda *a, **k: pytest.fail("periods computed"))
     with pytest.raises(ValidationError):
         elliptic_faltings_height(E, "qexp", eta_terms=10)
+    with pytest.raises(ValidationError, match="unknown method"):
+        elliptic_faltings_height(E, "lattice")
     from heights.errors import BadTau
     with pytest.raises(BadTau):
         dedekind_eta(1 - 2j)

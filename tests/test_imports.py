@@ -1,0 +1,120 @@
+"""The lazy package namespace and the numpy-free exact core."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import heights
+
+# every name `heights` exported when its __init__ imported each module
+# eagerly, under its defining module
+EAGER_EXPORTS = {
+    "errors": ["HeightsError", "NumericError", "ValidationError"],
+    "heightvalue": ["HeightValue", "ZERO", "as_height", "is_prime"],
+    "intersection": ["DivisorClassId", "FiberComponent", "FormalSum",
+                     "IntersectionModel", "ModelPair", "SymmetricForm",
+                     "form_key"],
+    "functionals": ["arakelov_calabi", "arakelov_energy", "aubin_I_rel",
+                    "aubin_J_rel", "component_twist_derivative",
+                    "decomposition_check", "entropy_rel", "model_beta",
+                    "modular_height", "na_calabi", "na_scalar_curvature",
+                    "normalized_df", "normalized_df_twisted",
+                    "relative_modular_height", "rescale_metric_const",
+                    "ricci_energy_rel", "slope_semistability_test",
+                    "twist_by_base_divisor"],
+    "geometry": ["SphereGeometry", "TorusGeometry", "make_geometry"],
+    "potentials": ["PotentialField", "load_potential_csv",
+                   "save_potential_csv"],
+    "energies": ["am_energy", "apply_metric_change", "aubin_i", "aubin_j",
+                 "bott_chern_delta", "cubic_identity_check", "entropy",
+                 "k_energy", "metric_model_pair", "ricci_density",
+                 "ricci_energy", "scalar_curvature_l2"],
+    "quantize": ["SectionGram", "arithmetic_degree", "balanced_iterate",
+                 "balanced_step", "bergman_density", "chow_height",
+                 "dequantization_scan", "extended_chow_height",
+                 "fubini_study_of", "hilbert_samuel_residual", "l2_gram",
+                 "l2_gram_quadrature", "p1_deg_hat"],
+    "toric": ["ToricThreefold", "barycentric_log_discrepancy",
+              "blowup_family_oracle", "toric_log_discrepancy"],
+    "families": ["BrieskornPhamSpec", "EllipticCurveData",
+                 "brieskorn_pham_analyze", "build_p1_fs",
+                 "build_p2_blowup_family", "curve_from_label",
+                 "curve_periods", "elliptic_faltings_height",
+                 "faltings_to_hk", "multiplicity_from_lengths"],
+}
+NAMES = [n for names in EAGER_EXPORTS.values() for n in names]
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that finds this checkout's package."""
+    src = str(Path(heights.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_lazy_namespace_keeps_every_name():
+    assert len(NAMES) == 77
+    assert sorted(heights.__all__) == sorted(NAMES)
+    listing = dir(heights)
+    assert all(name in listing for name in NAMES)
+    for mod, names in EAGER_EXPORTS.items():
+        module = importlib.import_module(f"heights.{mod}")
+        for name in names:
+            assert getattr(heights, name) is getattr(module, name), name
+        assert getattr(heights, mod) is module
+    star = {}
+    exec("from heights import *", star)
+    assert all(star[name] is getattr(heights, name) for name in NAMES)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        heights.no_such_name
+    assert heights.__version__ == "1.0.0"
+
+
+def test_import_heights_loads_no_numpy():
+    proc = _python("import sys, heights; "
+                   "print('numpy' in sys.modules, 'mpmath' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def test_exact_cli_calls_load_no_numpy_or_mpmath(tmp_path):
+    model = tmp_path / "p1.json"
+    heights.build_p1_fs().save(model)
+    calls = [
+        ["compute", "--family", "p1-fs", "--functional", "hk"],
+        ["compute", "--family", "p2-blowup", "--functional", "hk",
+         "--relative-to", "base", "--emit", "json"],
+        ["validate", "--model", str(model)],
+        ["bp", "--weights", "8,15,7", "--prime", "11"],
+        # error paths
+        ["compute", "--family", "nope"],
+        ["bp", "--weights", "4,6,7", "--prime", "5"],
+        ["faltings", "--a-invariants", "0,0,1,-1,0", "--delta-min", "38"],
+    ]
+    proc = _python(f"""
+import contextlib, io, json, sys
+import heights.cli
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = heights.cli.main(argv)
+    return [code, 'numpy' in sys.modules, 'mpmath' in sys.modules]
+
+exact = [run(argv) for argv in {calls!r}]
+faltings = run(['faltings', '--curve', '37a1'])
+print(json.dumps([exact, faltings]))
+""")
+    assert proc.returncode == 0, proc.stderr
+    exact, faltings = json.loads(proc.stdout)
+    assert [code for code, _, _ in exact] == [0, 0, 0, 0, 2, 2, 2]
+    assert not any(np or mp for _, np, mp in exact), exact
+    assert faltings[:2] == [0, False]

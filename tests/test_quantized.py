@@ -12,10 +12,11 @@ from heights.errors import (ConventionMismatch, GeometryMismatch,
                             ValidationError)
 from heights.families import build_p1_fs
 from heights.geometry import SphereGeometry, TorusGeometry
-from heights.intersection import IntersectionModel
+from heights.intersection import FAMILY_GEOMETRY, IntersectionModel
 from heights.potentials import PotentialField
-from heights.quantize import (SectionGram, arithmetic_degree, balanced_iterate,
-                              balanced_step, bergman_density, chow_height,
+from heights.quantize import (FAMILIES, SectionGram, arithmetic_degree,
+                              balanced_iterate, balanced_step,
+                              bergman_density, chow_height,
                               dequantization_scan, extended_chow_height,
                               fubini_study_of, hilbert_samuel_residual,
                               l2_gram, l2_gram_quadrature, p1_deg_hat,
@@ -190,6 +191,12 @@ def test_saved_p1_model_keeps_its_family(tmp_path):
     torus = TorusGeometry(1j, n=16, degree=1)
     with pytest.raises(GeometryMismatch):
         apply_metric_change(back, PotentialField.constant(torus, 0.0))
+
+
+def test_family_ids_have_providers():
+    # the exact core's list of family ids and the quantized providers
+    # are keyed by the same ids
+    assert set(FAMILY_GEOMETRY) == set(FAMILIES)
 
 
 def test_model_json_family_key():
