@@ -16,7 +16,7 @@ from .errors import HeightsError, NumericError, ValidationError
 from .families import (BrieskornPhamSpec, EllipticCurveData,
                        brieskorn_pham_analyze, build_p1_fs,
                        build_p2_blowup_family, curve_from_label,
-                       curve_periods, elliptic_faltings_height,
+                       curve_periods, faltings_from_periods,
                        faltings_to_hk)
 from .functionals import (arakelov_calabi, arakelov_energy, aubin_I_rel,
                           aubin_J_rel, entropy_rel, modular_height,
@@ -230,7 +230,7 @@ def run_faltings(args) -> int:
     rows = []
     methods = ("qexp", "agm") if args.method == "both" else (args.method,)
     for meth in methods:
-        h = elliptic_faltings_height(E, meth)
+        h = faltings_from_periods(E, per, meth)
         row = {"method": meth, "h_faltings": h}
         if args.polarization:
             row["h_K"] = faltings_to_hk(h, args.polarization)

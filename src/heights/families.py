@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (BadTau, CoprimalityViolated, DuplicatePrime,
-                     NonMinimalModel, ValidationError)
-from .heightvalue import HeightValue, ZERO
+                     NonMinimalModel, NonPrimeLabel, ValidationError)
+from .heightvalue import HeightValue, ZERO, is_prime
 from .intersection import (DivisorClassId, FiberComponent, FormalSum,
                            IntersectionModel, ModelPair, SymmetricForm,
                            KIND_CANONICAL, KIND_POLARIZATION, KIND_VERTICAL)
@@ -188,6 +188,8 @@ class BrieskornPhamSpec:
         for a, b in itertools.combinations(w, 2):
             if math.gcd(a, b) != 1:
                 raise CoprimalityViolated(f"gcd({a}, {b}) != 1")
+        if not is_prime(self.prime):
+            raise NonPrimeLabel(f"bp prime {self.prime} is not prime")
         for a in w:
             if math.gcd(a, self.prime) != 1:
                 raise CoprimalityViolated(
@@ -196,6 +198,17 @@ class BrieskornPhamSpec:
     @property
     def n(self) -> int:
         return len(self.weights) - 1
+
+
+# most lattice points a bp chart may scan, both in the generator box and
+# below the degree bound of CongruenceSemigroup.lengths
+BP_WORK_LIMIT = 2_000_000
+
+
+def _check_work(points: int, what: str):
+    if points > BP_WORK_LIMIT:
+        raise ValidationError(f"bp work: {points} {what}, over the limit "
+                              f"of {BP_WORK_LIMIT}")
 
 
 class CongruenceSemigroup:
@@ -213,6 +226,8 @@ class CongruenceSemigroup:
 
     def generators(self):
         """Minimal nonzero elements (coordinates bounded by the modulus)."""
+        _check_work((self.modulus + 1) ** self.dims,
+                    "points in the generator box")
         box = range(self.modulus + 1)
         elems = sorted((v for v in itertools.product(box, repeat=self.dims)
                         if any(v) and self.contains(v)), key=sum)
@@ -224,39 +239,33 @@ class CongruenceSemigroup:
         return gens
 
     def lengths(self, j_max: int):
-        """l(j) = dim O/m^j for j = 1..j_max via the order filtration."""
+        """l(j) = dim O/m^j = #{v in S : ord(v) < j} for j = 1..j_max.
+
+        ord(v) is the largest number of generators summing to v, so an
+        element of ord < j_max has degree <= (j_max - 1) * max_gen.  One
+        forward pass over the degrees up to that bound pushes each element
+        v to v + g for every generator g, keeping the larger order; the
+        predecessors of v have smaller degree, so its order is final when
+        its degree is reached.  Elements are mixed-radix integer keys.
+        """
         gens = self.generators()
-        max_gen = max(sum(g) for g in gens)
-        bound = j_max * max_gen
-        order = {(0,) * self.dims: 0}
-        frontier = [(0,) * self.dims]
-        # breadth-first by total degree keeps the DP for ord(v) well founded
-        by_degree = {0: frontier}
-        for deg in range(1, bound + 1):
-            layer = []
-            for v in itertools.product(range(deg + 1), repeat=self.dims):
-                if sum(v) != deg or not self.contains(v):
-                    continue
-                best = -1
-                for g in gens:
-                    w = tuple(x - y for x, y in zip(v, g))
-                    if min(w) >= 0 and w in order:
-                        best = max(best, order[w] + 1)
-                if best >= 0:
-                    order[v] = best
-                    layer.append(v)
-            by_degree[deg] = layer
-        counts = [0] * (j_max + 1)
-        for v, o in order.items():
-            if o < j_max:
-                counts[o + 1] += 1
-        # counts[j] = #{ord == j-1}; cumulative sum gives l(j)
-        out = []
-        total = 0
-        for j in range(1, j_max + 1):
-            total += counts[j]
-            out.append(total)
-        return out
+        bound = (j_max - 1) * max(sum(g) for g in gens)
+        _check_work(math.comb(bound + self.dims, self.dims),
+                    f"points of degree <= {bound}")
+        steps = [(sum(g), sum(x * (bound + 1) ** i for i, x in enumerate(g)))
+                 for g in gens]
+        layers = [{} for _ in range(bound + 1)]
+        layers[0][0] = 0
+        counts = [0] * j_max
+        for deg, layer in enumerate(layers):
+            fits = [(layers[deg + d], k) for d, k in steps if deg + d <= bound]
+            for key, o in layer.items():
+                if o < j_max:
+                    counts[o] += 1
+                for nxt, k in fits:
+                    if nxt.get(key + k, -1) <= o:
+                        nxt[key + k] = o + 1
+        return list(itertools.accumulate(counts))
 
 
 def hypersurface_lengths(num_vars: int, degree: int, j_max: int):
@@ -347,6 +356,9 @@ class EllipticCurveData:
             raise NonMinimalModel(
                 f"model discriminant {self.discriminant()} != "
                 f"declared minimal discriminant {self.delta_min}")
+        if self.delta_min == 0:
+            raise ValidationError("discriminant 0: the Weierstrass cubic "
+                                  "is singular, not an elliptic curve")
 
     def b_invariants(self):
         a1, a2, a3, a4, a6 = self.a_invariants
@@ -392,13 +404,9 @@ def curve_periods(curve: EllipticCurveData, prec: int = 50) -> dict:
             w2 = mpmath.mpc(0, 1) * mpmath.pi / mpmath.agm(
                 mpmath.sqrt(e1 - e3), mpmath.sqrt(e2 - e3))
         else:
-            e1 = next(mpmath.re(r) for r in roots
-                      if abs(mpmath.im(r)) < 1e-20 * (1 + abs(r)))
-            pair = [r for r in roots if abs(mpmath.im(r)) >= 1e-20 * (1 + abs(r))]
-            if len(pair) != 2:
-                pair = sorted(roots, key=lambda r: abs(mpmath.im(r)))[1:]
-                e1 = mpmath.re(sorted(roots, key=lambda r: abs(mpmath.im(r)))[0])
-            c1, c2 = pair
+            # one real root, the one nearest the real axis, and a pair
+            e1, c1, c2 = sorted(roots, key=lambda r: abs(mpmath.im(r)))
+            e1 = mpmath.re(e1)
             w1 = mpmath.pi / abs(mpmath.agm(mpmath.sqrt(e1 - c1),
                                             mpmath.sqrt(e1 - c2)))
             nu = mpmath.pi / abs(mpmath.agm(mpmath.sqrt(c1 - e1),
@@ -427,16 +435,23 @@ def dedekind_eta(tau: complex, terms: int = 80) -> complex:
 def elliptic_faltings_height(curve: EllipticCurveData,
                              method: str = "qexp",
                              eta_terms: int = 80) -> float:
-    """Faltings height of E/Q from the minimal model.
-
-    qexp: (1/12) log|delta_min| - log(2 pi) - 2 log|eta(tau)|
-          - (1/2) log Im(tau); agm: -(1/2) log of the period covolume.
-    """
+    """Faltings height of E/Q from the minimal model; the arguments are
+    checked before the periods are computed."""
     if method not in ("qexp", "agm"):
         raise ValidationError(f"unknown method {method!r}")
     if method == "qexp" and eta_terms < 50:
         raise ValidationError("eta product needs at least 50 terms")
-    per = curve_periods(curve)
+    return faltings_from_periods(curve, curve_periods(curve), method,
+                                 eta_terms)
+
+
+def faltings_from_periods(curve: EllipticCurveData, per: dict, method: str,
+                          eta_terms: int = 80) -> float:
+    """Faltings height from the minimal model and its curve_periods.
+
+    qexp: (1/12) log|delta_min| - log(2 pi) - 2 log|eta(tau)|
+          - (1/2) log Im(tau); agm: -(1/2) log of the period covolume.
+    """
     if method == "agm":
         return -0.5 * math.log(per["area"])
     tau = per["tau"]

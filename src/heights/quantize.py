@@ -148,7 +148,11 @@ def l2_gram_quadrature(geometry: SphereGeometry, m: int,
     dens = geometry.weights
     if volume_convention == VOL_M_OMEGA:
         dens = dens * float(m)
-    flat = (W * np.sqrt(dens)[None, :, :]).reshape(m + 1, -1)
+    # scaled in place and dropped before the product, so two (m+1)-by-grid
+    # complex arrays are alive at once rather than three
+    W *= np.sqrt(dens)[None, :, :]
+    flat = W.reshape(m + 1, -1)   # a copy: W is a transposed view
+    del W
     g = flat @ flat.conj().T
     return SectionGram(m, p1_basis(m), g.real, volume_convention)
 

@@ -3,10 +3,11 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
-from heights import quantize
+from heights import cli, families, quantize
 from heights.cli import main
 from heights.families import build_p1_fs
 
@@ -207,6 +208,34 @@ def test_bp_degree_bound_zero_exits_2(capsys):
     code, out, err = run(["bp", "--weights", "8,15,7", "--prime", "11",
                           "--degree-bound", "0"], capsys)
     assert code == 2 and "ValidationError" in err and out == ""
+
+
+def test_bp_over_work_limit_exits_2_quickly(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(["bp", "--weights", "5,7,11,13,17", "--prime", "3"],
+                         capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and "over the limit" in err and out == ""
+
+
+def test_faltings_singular_curve_exits_2(capsys):
+    code, _, err = run(["faltings", "--a-invariants", "0,0,0,0,0",
+                        "--delta-min", "0"], capsys)
+    assert code == 2 and "singular" in err
+
+
+def test_faltings_computes_periods_once(monkeypatch, capsys):
+    calls = []
+    periods = families.curve_periods
+
+    def counted(curve, *args, **kwargs):
+        calls.append(curve)
+        return periods(curve, *args, **kwargs)
+    monkeypatch.setattr(cli, "curve_periods", counted)
+    monkeypatch.setattr(families, "curve_periods", counted)
+    code, _, _ = run(["faltings", "--curve", "37a1", "--method", "both"],
+                     capsys)
+    assert code == 0 and len(calls) == 1
 
 
 def test_faltings_a_invariants_token_exits_2(capsys):

@@ -1,6 +1,7 @@
 """Family builders, the toric oracle, local analyzers and the elliptic
 height bridge."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ import pytest
 
 from heights import families
 from heights.errors import (CoprimalityViolated, DuplicatePrime,
-                            NonMinimalModel, OutsideCone, ValidationError)
+                            NonMinimalModel, NonPrimeLabel, OutsideCone,
+                            ValidationError)
 from heights.families import (BrieskornPhamSpec, CongruenceSemigroup,
                               EllipticCurveData, brieskorn_pham_analyze,
                               build_p1_fs, build_p2_blowup_family,
@@ -117,12 +119,105 @@ def test_spec_validation():
         BrieskornPhamSpec((8, 15, 7), 7)
     with pytest.raises(ValidationError):
         BrieskornPhamSpec((2, 3, 5), 7)   # exponent 2 <= n
+    for prime in (1, -11, 121):
+        with pytest.raises(NonPrimeLabel, match=str(prime)):
+            BrieskornPhamSpec((8, 15, 7), prime)
 
 
 def test_half_1_1_multiplicity():
     sg = CongruenceSemigroup((1, 1), 2)
     mult, stable = multiplicity_from_lengths(sg.lengths(10), 2)
     assert stable and mult == 2
+
+
+def lengths_by_box_scan(sg, j_max):
+    """Reference lengths: every point of the (deg+1)^dims box for each
+    degree up to j_max * max_gen, its order taken from its predecessors."""
+    gens = sg.generators()
+    bound = j_max * max(sum(g) for g in gens)
+    order = {(0,) * sg.dims: 0}
+    for deg in range(1, bound + 1):
+        for v in itertools.product(range(deg + 1), repeat=sg.dims):
+            if sum(v) != deg or not sg.contains(v):
+                continue
+            best = -1
+            for g in gens:
+                w = tuple(x - y for x, y in zip(v, g))
+                if min(w) >= 0 and w in order:
+                    best = max(best, order[w] + 1)
+            if best >= 0:
+                order[v] = best
+    return [sum(o < j for o in order.values()) for j in range(1, j_max + 1)]
+
+
+def chart(weights):
+    r = weights[-1]
+    return CongruenceSemigroup([a % r for a in weights[:-1]], r)
+
+
+# the three-exponent charts of the exact benchmark workload
+BP_CHARTS = ((8, 15, 7), (5, 7, 11), (3, 5, 7), (4, 5, 9), (7, 11, 13))
+
+
+def test_lengths_match_box_scan():
+    cases = [(CongruenceSemigroup((1, 1), 2), 10), (chart((4, 5, 7, 9)), 8)]
+    cases += [(CongruenceSemigroup((a, b), r), 8) for r in range(2, 8)
+              for a in range(1, r) for b in range(a, r)]
+    cases += [(chart(w), 12) for w in BP_CHARTS]
+    for sg, j_max in cases:
+        assert sg.lengths(j_max) == lengths_by_box_scan(sg, j_max), \
+            (sg.residues, sg.modulus)
+
+
+def test_four_exponent_lengths_pinned():
+    # recorded from the box scan, which takes about a minute on each
+    for weights, want in [
+            ((7, 11, 13, 17),
+             [1, 15, 56, 138, 275, 481, 770, 1156, 1653, 2275, 3036, 3950]),
+            ((5, 7, 11, 13),
+             [1, 17, 65, 162, 325, 571, 917, 1380, 1977, 2725, 3641, 4742])]:
+        rep = brieskorn_pham_analyze(BrieskornPhamSpec(weights, 3))
+        assert rep["lengths"] == want
+
+
+def hirzebruch_jung_multiplicity(a, b, r):
+    """2 + sum(b_i - 2) over r/q = [b_1, ..., b_k], q = b/a mod r
+    (Riemenschneider 1974)."""
+    total, num, den = 2, r, b * pow(a, -1, r) % r
+    while den:
+        c = -(-num // den)
+        total += c - 2
+        num, den = den, c * den - num
+    return total
+
+
+def test_two_dimensional_charts_match_hirzebruch_jung():
+    # quotient surface singularities are rational: l(j) is the
+    # Hilbert-Samuel polynomial from j = 1, so six lengths are stable
+    for r in (2, 3, 5, 7, 11, 13, 17, 19):
+        for a in range(1, r):
+            for b in range(a, r):
+                lens = CongruenceSemigroup((a, b), r).lengths(6)
+                mult, stable = multiplicity_from_lengths(lens, 2)
+                assert stable and mult == hirzebruch_jung_multiplicity(
+                    a, b, r), (a, b, r)
+
+
+def test_lengths_test_membership_only_in_the_generator_box(monkeypatch):
+    calls = []
+    contains = CongruenceSemigroup.contains
+    monkeypatch.setattr(CongruenceSemigroup, "contains",
+                        lambda self, v: calls.append(v) or contains(self, v))
+    for weights, j_max in [(w, 12) for w in BP_CHARTS] + [((4, 5, 7, 9), 8)]:
+        sg = chart(weights)
+        calls.clear()
+        sg.lengths(j_max)
+        assert len(calls) <= (sg.modulus + 1) ** sg.dims, weights
+
+
+def test_generator_box_over_the_limit():
+    with pytest.raises(ValidationError, match="generator box"):
+        CongruenceSemigroup((1, 2, 3), 200).generators()
 
 
 def test_hypersurface_multiplicity_exact():
@@ -164,6 +259,18 @@ def test_discriminant_validation():
         EllipticCurveData((0, 0, 1, -1, 0), 38)
     with pytest.raises(ValidationError):
         curve_from_label("99z9")
+    with pytest.raises(ValidationError, match="singular"):
+        EllipticCurveData((0, 0, 0, 0, 0), 0)
+
+
+def test_negative_discriminant_periods_pinned():
+    # 11a1 has one real root; the pair is the other two roots, and the
+    # AGM is symmetric in them, so the periods do not depend on their order
+    per = curve_periods(curve_from_label("11a1"))
+    assert per["omega1"] == complex(1.2692093042795534, 0.0)
+    assert per["omega2"] == complex(0.6346046521397767, 1.4588166169384953)
+    assert per["tau"] == complex(0.5, 1.1493901061232523)
+    assert per["area"] == 1.8515436234559592
 
 
 @pytest.mark.parametrize("label", ["37a1", "11a1", "389a1", "5077a1"])
