@@ -151,10 +151,7 @@ def run_scan(args) -> int:
         fit = {"last_residual_over_m": rows[-1]["residual_over_m"]}
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()),
-                               lineterminator="\r\n")
-            w.writeheader()
-            w.writerows(rows)
+            _emit(rows, "csv", fh)
         with open(args.out + ".fit.json", "w") as fh:
             json.dump(fit, fh, indent=1)
     _emit([fit], args.emit)
@@ -168,8 +165,6 @@ def run_balanced(args) -> int:
     from .quantize import (VOL_M_OMEGA, SectionGram, balanced_iterate,
                            family_providers)
 
-    if args.tol <= 0:
-        raise ValidationError("--tol must be > 0")
     model, _ = _load_family(args)
     g0 = family_providers(model.family).gram(args.m, VOL_M_OMEGA)
     geometry = SphereGeometry(args.grid)
@@ -194,11 +189,7 @@ def run_balanced(args) -> int:
                  "htilde_C": iters})
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=["iteration", "distance",
-                                               "htilde_C"],
-                               lineterminator="\r\n")
-            w.writeheader()
-            w.writerows(rows)
+            _emit(rows, "csv", fh)
     _emit(rows if args.emit != "table" else rows[-3:], args.emit)
     return EXIT_OK
 

@@ -29,6 +29,9 @@ class SphereGeometry:
             n_psi = 2 * n_theta
         self.n_theta = int(n_theta)
         self.n_psi = int(n_psi)
+        if self.n_theta < 1 or self.n_psi < 2:
+            raise ValidationError("sphere grid needs n_theta >= 1 and "
+                                  "n_psi >= 2")
         x, w = leggauss(self.n_theta)
         self.x = x                      # cos(theta), ascending
         self.theta = np.arccos(x)
@@ -137,6 +140,8 @@ class TorusGeometry:
         self.tau = tau
         self.n = int(n)
         self.degree = int(degree)
+        if self.n < 1 or self.degree < 1:
+            raise ValidationError("torus grid needs n >= 1 and degree >= 1")
         self.V = float(degree)
         self.shape = (self.n, self.n)
         self.weights = np.full(self.shape, self.V / self.n ** 2)

@@ -132,29 +132,28 @@ def family_providers(family_id: str | None) -> FamilyProviders:
 def p1_section_values(geometry: SphereGeometry, m: int) -> np.ndarray:
     """Matrix of monomial section values w_a with |w_a|^2 =
     |z|^{2a}/(1+|z|^2)^m in the affine chart |z| = tan(theta/2)."""
-    lt2 = geometry.log_t2()[:, None]               # log |z|^2 per latitude
-    log1p = np.logaddexp(0.0, lt2)
-    a = np.arange(m + 1)[None, None, :]
-    mod = np.exp(0.5 * (a * lt2[:, :, None] - m * log1p[:, :, None])
-                 + np.zeros((1, geometry.n_psi, 1)))
-    phase = np.exp(1j * np.arange(m + 1)[None, None, :]
-                   * geometry.psi[None, :, None])
-    return (mod * phase).transpose(2, 0, 1)        # (m+1, n_theta, n_psi)
+    lt2 = geometry.log_t2()[None, :, None]         # log |z|^2 per latitude
+    a = np.arange(m + 1)[:, None, None]
+    mod = np.exp(0.5 * (a * lt2 - m * np.logaddexp(0.0, lt2)))
+    return mod * np.exp(1j * a * geometry.psi)     # (m+1, n_theta, n_psi)
+
+
+def _weighted_gram(w: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """Re sum_x w_a(x) bar(w_b(x)) dens(x); scales w (rank, grid) in place,
+    so two rank-by-grid complex arrays are alive at once, not three."""
+    w *= np.sqrt(dens)
+    flat = w.reshape(w.shape[0], -1)
+    return (flat @ flat.conj().T).real
 
 
 def l2_gram_quadrature(geometry: SphereGeometry, m: int,
                        volume_convention: str = VOL_OMEGA) -> SectionGram:
-    W = p1_section_values(geometry, m)
     dens = geometry.weights
     if volume_convention == VOL_M_OMEGA:
         dens = dens * float(m)
-    # scaled in place and dropped before the product, so two (m+1)-by-grid
-    # complex arrays are alive at once rather than three
-    W *= np.sqrt(dens)[None, :, :]
-    flat = W.reshape(m + 1, -1)   # a copy: W is a transposed view
-    del W
-    g = flat @ flat.conj().T
-    return SectionGram(m, p1_basis(m), g.real, volume_convention)
+    return SectionGram(m, p1_basis(m),
+                       _weighted_gram(p1_section_values(geometry, m), dens),
+                       volume_convention)
 
 
 # -- arithmetic degree and Chow heights --------------------------------
@@ -199,38 +198,59 @@ def extended_chow_height(model, g: SectionGram, bergman_samples,
 
 # -- balanced iteration -------------------------------------------------
 
-def bergman_density(geometry: SphereGeometry, m: int,
-                    H: np.ndarray) -> np.ndarray:
-    """Phi_H = sum_{ab} (H^{-1})_{ab} w_a bar(w_b) on the grid."""
-    W = p1_section_values(geometry, m).reshape(m + 1, -1)
+def _section_jet(geometry: SphereGeometry, m: int) -> np.ndarray:
+    """(w, Dw) stacked as (2, m+1, n_theta, n_psi); the Chern derivative
+    Dw_a = a(1+|z|^2) w_{a-1} - m zbar w_a is taken as a w_{a-1} - (m-a)
+    zbar w_a, whose terms do not cancel near either pole."""
+    w = p1_section_values(geometry, m)
+    zbar = np.exp(0.5 * geometry.log_t2()[:, None] - 1j * geometry.psi)
+    a = np.arange(m + 1)[:, None, None]
+    dw = -(m - a) * zbar * w
+    dw[1:] += a[1:] * w[:-1]
+    return np.stack([w, dw])
+
+
+def _fs_density(jet: np.ndarray, H: np.ndarray):
+    """Bergman density Phi_H = |v|^2 and FS(H) curvature density
+    rho = m + ddc log Phi_H = (|v|^2 |Dv|^2 - |<Dv, v>|^2) / |v|^4,
+    with v = c^{-1} w, Dv = c^{-1} Dw for H = c c^T (jet = (w, Dw))."""
     try:
         c = np.linalg.cholesky(np.asarray(H, float))
     except np.linalg.LinAlgError as exc:
         raise NonPositiveDefinite("gram is not positive definite") from exc
-    sol = np.linalg.solve(c, W)
-    phi = np.sum(sol.real ** 2 + sol.imag ** 2, axis=0)
-    return phi.reshape(geometry.shape)
+    v, dv = np.linalg.inv(c) @ jet.reshape(2, c.shape[0], -1)
+    phi = np.sum(v.real ** 2 + v.imag ** 2, axis=0)
+    cross = np.sum(dv * v.conj(), axis=0)
+    rho = (phi * np.sum(dv.real ** 2 + dv.imag ** 2, axis=0)
+           - (cross.real ** 2 + cross.imag ** 2)) / phi ** 2
+    if np.min(rho) <= 0:
+        raise NonPositiveDefinite("FS(H) curvature density lost positivity")
+    return phi.reshape(jet.shape[2:]), rho.reshape(jet.shape[2:])
+
+
+def bergman_density(geometry: SphereGeometry, m: int,
+                    H: np.ndarray) -> np.ndarray:
+    """Phi_H = sum_{ab} (H^{-1})_{ab} w_a bar(w_b) on the grid."""
+    return _fs_density(_section_jet(geometry, m), H)[0]
 
 
 def fubini_study_of(geometry: SphereGeometry, m: int, H: np.ndarray):
     """FS(H) data: Bergman log-density u and the curvature density m + ddc u."""
-    u = np.log(bergman_density(geometry, m, H))
-    rho = float(m) + geometry.ddc(u)
-    if np.min(rho) <= 0:
-        raise NonPositiveDefinite("FS(H) curvature density lost positivity")
-    return u, rho
+    phi, rho = _fs_density(_section_jet(geometry, m), H)
+    return np.log(phi), rho
+
+
+def _t_operator(g, jet, phi, rho, geometry) -> SectionGram:
+    """balanced_step given (Phi_H, rho) of H = g.gram."""
+    newg = _weighted_gram(jet[0].copy(), geometry.weights * rho / phi)
+    newg *= np.trace(g.gram) / np.trace(newg)
+    return SectionGram(g.m, g.basis, newg, g.volume_convention)
 
 
 def balanced_step(g: SectionGram, geometry: SphereGeometry) -> SectionGram:
     """One T-operator step: L^2 Gram under FS(H), trace renormalized."""
-    H = g.gram
-    u, rho = fubini_study_of(geometry, g.m, H)
-    W = p1_section_values(geometry, g.m)
-    dens = geometry.weights * np.exp(-u) * rho
-    flat = (W * np.sqrt(dens)[None, :, :]).reshape(g.rank, -1)
-    newg = (flat @ flat.conj().T).real
-    newg *= np.trace(H) / np.trace(newg)
-    return SectionGram(g.m, g.basis, newg, g.volume_convention)
+    jet = _section_jet(geometry, g.m)
+    return _t_operator(g, jet, *_fs_density(jet, g.gram), geometry)
 
 
 def balanced_iterate(g0: SectionGram, geometry: SphereGeometry,
@@ -241,18 +261,28 @@ def balanced_iterate(g0: SectionGram, geometry: SphereGeometry,
     Returns (g_star, iterations, converged, trace) where trace rows are
     (iteration, distance, h~_C) -- h~_C only if a model is supplied.
     """
-    g = g0
-    trace = []
+    if not tol > 0 or max_iter < 1:
+        raise ValidationError("tol must be > 0 and max_iter >= 1")
+    jet = _section_jet(geometry, g0.m)
+    g, fs, trace = g0, _fs_density(jet, g0.gram), []
     for it in range(1, max_iter + 1):
-        nxt = balanced_step(g, geometry)
+        nxt = _t_operator(g, jet, *fs, geometry)
+        fs = _fs_density(jet, nxt.gram)     # for h~_C(nxt) and the next step
         dist = float(np.max(np.abs(nxt.gram - g.gram)))
-        h = (htilde_c_of_gram(model, nxt, geometry)
+        h = (_htilde_c(model, nxt, geometry, *fs)
              if model is not None else float("nan"))
         trace.append((it, dist, h))
         g = nxt
         if dist < tol:
             return g, it, True, trace
     return g, max_iter, False, trace
+
+
+def _htilde_c(model, g, geometry, phi, rho) -> float:
+    # the Bott-Chern shift of (L_m^2) against FS^m over (n+1)(L_m^n)[K:Q]
+    shift = 0.5 * geometry.quad(np.log(phi) * (g.m + rho))
+    return chow_height(model, g) + shift / (
+        2.0 * g.m * float(model.deg_Ln) * model.degree_KQ)
 
 
 def htilde_c_of_gram(model, g: SectionGram,
@@ -263,14 +293,8 @@ def htilde_c_of_gram(model, g: SectionGram,
     identically 1, so the log term drops and only the Bott-Chern shift
     of (L_m^2) against the reference FS^m metric remains.
     """
-    m, d = g.m, model.degree_KQ
-    u, rho = fubini_study_of(geometry, m, g.gram)
-    a = model.form.pair(*([model.L()] * 2)).evaluate()
-    top = m * m * a + 0.5 * geometry.quad(u * (m + rho))
-    sign, logdet = np.linalg.slogdet(g.gram)
-    if sign <= 0:
-        raise NonPositiveDefinite("gram is not positive definite")
-    return top / (2.0 * m * d) + 0.5 * logdet / (g.rank * d)
+    return _htilde_c(model, g, geometry,
+                     *_fs_density(_section_jet(geometry, g.m), g.gram))
 
 
 # -- scans ---------------------------------------------------------------

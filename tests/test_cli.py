@@ -159,10 +159,11 @@ def test_scan_hilbert_samuel(tmp_path, capsys):
 
 def test_balanced_trace(tmp_path, capsys):
     out_path = tmp_path / "bal.csv"
-    code, _, _ = run(["balanced", "--family", "p1-fs", "--m", "4",
-                      "--perturb", "0.05", "--tol", "1e-8",
-                      "--grid", "64", "--out", str(out_path)], capsys)
+    code, out, _ = run(["balanced", "--family", "p1-fs", "--m", "4",
+                        "--perturb", "0.05", "--tol", "1e-8", "--grid", "64",
+                        "--out", str(out_path), "--emit", "csv"], capsys)
     assert code == 0
+    assert out_path.read_bytes() == out.encode()
     rows = list(csv.DictReader(io.StringIO(out_path.read_text())))
     assert rows[-1]["iteration"] == "converged"
     assert rows[-1]["distance"] == "True"
@@ -180,9 +181,10 @@ def test_balanced_zero_perturb_fast(capsys):
 
 
 def test_balanced_bad_tol_exits_2(capsys):
-    code, _, _ = run(["balanced", "--family", "p1-fs", "--tol", "-1"],
-                     capsys)
-    assert code == 2
+    for bad in (["--tol", "-1"], ["--tol", "nan"], ["--max-iter", "0"],
+                ["--max-iter", "-1"], ["--grid", "0"], ["--grid", "-4"]):
+        code, _, err = run(["balanced", "--family", "p1-fs", *bad], capsys)
+        assert code == 2 and "ValidationError" in err
 
 
 def test_bp_report(capsys):

@@ -210,6 +210,16 @@ def test_potential_csv_roundtrip(tmp_path):
     assert np.max(np.abs(back.samples - odd.samples)) < 1e-12
 
 
+def test_geometry_rejects_bad_sizes():
+    for bad in (lambda: SphereGeometry(0), lambda: SphereGeometry(-4),
+                lambda: SphereGeometry(4, n_psi=0),
+                lambda: SphereGeometry(4, n_psi=1),
+                lambda: TorusGeometry(1j, n=0),
+                lambda: TorusGeometry(1j, degree=0)):
+        with pytest.raises(ValidationError):
+            bad()
+
+
 def test_make_geometry_rejects_unknown():
     with pytest.raises(ValidationError):
         make_geometry("plane")

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from heights import quantize
 from heights.energies import apply_metric_change
 from heights.errors import (ConventionMismatch, GeometryMismatch,
                             NonPositiveDefinite, UnsupportedFamily,
@@ -19,8 +20,8 @@ from heights.quantize import (FAMILIES, SectionGram, arithmetic_degree,
                               bergman_density, chow_height,
                               dequantization_scan, extended_chow_height,
                               fubini_study_of, hilbert_samuel_residual,
-                              l2_gram, l2_gram_quadrature, p1_deg_hat,
-                              p1_deg_hat_table, p1_fs_gram_diag)
+                              htilde_c_of_gram, l2_gram, l2_gram_quadrature,
+                              p1_deg_hat, p1_deg_hat_table, p1_fs_gram_diag)
 
 GEOM = SphereGeometry(128)
 MODEL = build_p1_fs()
@@ -59,6 +60,8 @@ def test_chow_height_convention_guard():
     g = l2_gram("p1-fs", 4, "fs", "omega")
     with pytest.raises(ConventionMismatch):
         chow_height(MODEL, g)
+    with pytest.raises(ConventionMismatch):
+        htilde_c_of_gram(MODEL, g, GEOM)
 
 
 def test_chow_height_rescale_invariant():
@@ -88,10 +91,58 @@ def test_bergman_density_of_fs_is_flat():
 
 
 def test_fubini_study_of_fs_is_reference():
-    m = 3
-    g = l2_gram("p1-fs", m, "fs", "m-omega")
-    u, rho = fubini_study_of(GEOM, m, g.gram)
-    assert np.max(np.abs(rho - m)) < 1e-6
+    for geom in (SphereGeometry(64), GEOM):
+        for m in range(1, 9):
+            g = l2_gram("p1-fs", m, "fs", "m-omega")
+            u, rho = fubini_study_of(geom, m, g.gram)
+            assert np.max(np.abs(rho - m)) < 1e-12
+
+
+def spectral_fs_curvature(geometry, m, H):
+    """Reference FS(H) curvature density: m + spectral ddc of log Phi_H."""
+    return m + geometry.ddc(np.log(bergman_density(geometry, m, H)))
+
+
+def perturbed_gram(m, seed, scale=0.2):
+    g0 = l2_gram("p1-fs", m, "fs", "m-omega")
+    sym = np.random.default_rng(seed).standard_normal((m + 1, m + 1))
+    return SectionGram(m, g0.basis, g0.gram * np.exp(scale * (sym + sym.T)),
+                       g0.volume_convention)
+
+
+def test_closed_form_curvature_matches_spectral_ddc():
+    # the spectral path is limited by the aliasing of log Phi_H
+    for m in range(1, 9):
+        H = perturbed_gram(m, m).gram
+        _, rho = fubini_study_of(GEOM, m, H)
+        assert np.max(np.abs(rho - spectral_fs_curvature(GEOM, m, H))) < 1e-6
+
+
+def test_quantized_side_takes_no_sphere_transform(monkeypatch):
+    def no_transform(self, f):
+        raise AssertionError("sphere transform taken")
+    monkeypatch.setattr(SphereGeometry, "laplacian", no_transform)
+    g = perturbed_gram(4, 0, scale=0.05)
+    fubini_study_of(GEOM, 4, g.gram)
+    balanced_step(g, GEOM)
+    htilde_c_of_gram(MODEL, g, GEOM)
+    _, iters, converged, _ = balanced_iterate(g, GEOM, tol=1e-8,
+                                              model=MODEL)
+    assert converged and iters > 1
+
+
+def test_balanced_iterate_evaluates_fs_once_per_gram(monkeypatch):
+    calls = []
+    fs_density = quantize._fs_density
+
+    def counted(*args):
+        calls.append(1)
+        return fs_density(*args)
+    monkeypatch.setattr(quantize, "_fs_density", counted)
+    _, iters, converged, _ = balanced_iterate(
+        perturbed_gram(3, 1, scale=0.05), GEOM, tol=1e-9, model=MODEL)
+    assert converged and iters > 1
+    assert len(calls) == iters + 1
 
 
 def test_perturbed_gram_converges_to_fs():
@@ -111,7 +162,6 @@ def test_perturbed_gram_converges_to_fs():
     assert np.max(np.abs(off)) < 1e-10
     lr = np.diff(np.log(np.diag(g.gram) / np.diag(g0.gram)))
     assert np.max(np.abs(lr - lr[0])) < 1e-7
-    from heights.quantize import htilde_c_of_gram
     assert htilde_c_of_gram(MODEL, g, GEOM) == pytest.approx(
         htilde_c_of_gram(MODEL, g0, GEOM), abs=1e-10)
     hs = [h for _, _, h in trace]
