@@ -40,13 +40,21 @@ class SphereGeometry:
         self.weights = np.outer(w / 2.0, np.full(self.n_psi, 1.0 / self.n_psi))
         self.V = 1.0
         self.lmax = min(self.n_theta - 1, self.n_psi // 2 - 1)
-        self._w_theta = w
         self.shape = (self.n_theta, self.n_psi)
         self.default_Sbar = 2.0
         self.ric = 2.0 * np.ones(self.shape)
-        # caching every block costs O(lmax^2 n_theta) memory; only do it
-        # on grids where that stays below ~100 MB
-        self._block_cache = {} if self.n_theta <= 256 else None
+        # P_l^m(-x) = (-1)^(l+m) P_l^m(x) and the nodes and weights are
+        # mirror-symmetric, so transforms run on the northern half; its
+        # row j mirrors row j of _south, and an odd grid's equator node
+        # mirrors itself, so its weight is halved
+        half = (self.n_theta + 1) // 2
+        self._north = slice(self.n_theta - half, None)
+        self._south = slice(half - 1, None, -1)
+        self._w_north = w[self._north].copy()
+        self._w_north[0] /= 1 + self.n_theta % 2
+        # memoizing costs O(lmax^2 n_theta / 2) memory (~36 MB at 256);
+        # larger grids generate the Legendre values afresh per transform
+        self._memo = None
 
     # -- quadrature ---------------------------------------------------
 
@@ -55,42 +63,72 @@ class SphereGeometry:
 
     # -- spherical harmonic machinery ----------------------------------
 
-    def _legendre_block(self, m: int) -> np.ndarray:
-        """Orthonormal associated Legendre P_l^m(x) for l = m..lmax,
-        normalized so that int_{-1}^{1} P^2 dx = 1."""
-        if self._block_cache is not None and m in self._block_cache:
-            return self._block_cache[m]
-        x = self.x
-        lmax = self.lmax
-        nl = lmax - m + 1
-        P = np.empty((nl, x.size))
-        # log of the m=m starting norm to dodge overflow
-        logc = 0.5 * (math.lgamma(2 * m + 2) - (2 * m + 1) * math.log(2.0)) \
-            - math.lgamma(m + 1)
-        s = np.maximum(1.0 - x * x, 0.0)
-        with np.errstate(divide="ignore"):
-            logs = np.where(s > 0, np.log(s), -np.inf)
-        P[0] = np.exp(logc + 0.5 * m * logs)
-        if nl > 1:
-            P[1] = math.sqrt(2 * m + 3.0) * x * P[0]
-        for l in range(m + 2, lmax + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((2.0 * l + 1.0) * (l - 1.0 + m) * (l - 1.0 - m))
-                          / ((2.0 * l - 3.0) * (l * l - m * m)))
-            P[l - m] = a * x * P[l - m - 1] - b * P[l - m - 2]
-        if self._block_cache is not None:
-            self._block_cache[m] = P
-        return P
+    def _legendre_chunks(self, cap: int):
+        """Yield (m0, even, odd) for the orders m = m0.. (at most 16,
+        m <= cap) of one chunk: even[m - m0, i] and odd[m - m0, i] hold
+        the orthonormal P_{m+k}^m (int_{-1}^{1} P^2 dx = 1) at the
+        northern nodes for k = 2i and k = 2i + 1, zero where m + k > cap.
+        The recurrence walks k = l - m for the whole chunk at once."""
+        x = self.x[self._north]
+        logs = np.log(1.0 - x * x)
+        for m0 in range(0, cap + 1, 16):
+            m = np.arange(m0, min(m0 + 16, cap + 1))
+            K = cap - m0 + 1
+            P = np.zeros((K + 1, m.size, x.size))     # P[k + 1]; P[0] = 0
+            # log of the k = 0 norm to dodge overflow
+            logc = np.array([0.5 * (math.lgamma(2 * i + 2)
+                                    - (2 * i + 1) * math.log(2.0))
+                             - math.lgamma(i + 1) for i in m.tolist()])
+            P[1] = np.exp(logc[:, None] + (0.5 * m)[:, None] * logs)
+            # at k = 1, a = sqrt(2m + 3) exactly and b = 0
+            l = m + np.arange(1, K)[:, None]
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = np.sqrt(((2.0 * l + 1.0) * (l - 1.0 + m) * (l - 1.0 - m))
+                        / ((2.0 * l - 3.0) * (l * l - m * m)))
+            for k in range(1, K):
+                n = min(m.size, K - k)          # orders with m + k <= cap
+                new = P[k + 1, :n]
+                np.multiply(a[k - 1, :n, None], x, out=new)
+                new *= P[k, :n]
+                new -= b[k - 1, :n, None] * P[k - 1, :n]
+            yield m0, P[1::2].transpose(1, 0, 2), P[2::2].transpose(1, 0, 2)
+
+    def _synthesize(self, grid, m0, even, odd, ce, co):
+        """Write sum_k c_k P_{m+k}^m into the rfft columns m0.. of grid
+        (complex values as real pairs); ce and co hold the (re, im) pairs
+        of the even and odd k, shaped (orders, 2, i)."""
+        e, o = ce @ even, co @ odd
+        cols = slice(m0, m0 + even.shape[0])
+        grid[self._north, cols] = (e + o).transpose(2, 0, 1)
+        grid[self._south, cols] = (e - o).transpose(2, 0, 1)
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Laplace-Beltrami of the unit sphere (eigenvalues -l(l+1)):
-        rfft in psi, then Legendre analysis and synthesis per order."""
-        fm = np.fft.rfft(np.asarray(f, float), axis=1)
-        out = np.zeros_like(fm)
-        lam = -np.arange(self.lmax + 1.0) * np.arange(1.0, self.lmax + 2.0)
-        for m in range(self.lmax + 1):
-            P = self._legendre_block(m)
-            out[:, m] = P.T @ (lam[m:] * (P @ (self._w_theta * fm[:, m])))
+        rfft in psi, then Legendre analysis and synthesis per order on
+        the even and odd halves f(x) +- f(-x)."""
+        fm = np.fft.rfft(np.asarray(f, float), axis=1)[:, :self.lmax + 1]
+        north, south = fm[self._north], fm[self._south]
+        w = self._w_north[:, None]
+        # [order, node, re/im]
+        halves = [np.ascontiguousarray((w * g).T).view(float).reshape(
+            self.lmax + 1, -1, 2) for g in (north + south, north - south)]
+        out = np.zeros((self.n_theta, self.n_psi // 2 + 1), complex)
+        grid = out.view(float).reshape(self.n_theta, -1, 2)
+        chunks = self._memo
+        if chunks is None:
+            chunks = self._legendre_chunks(self.lmax)
+            if self.n_theta <= 256:
+                chunks = self._memo = [
+                    (m0, np.ascontiguousarray(e), np.ascontiguousarray(o))
+                    for m0, e, o in chunks]
+        for m0, even, odd in chunks:
+            m = np.arange(m0, m0 + even.shape[0])[:, None, None]
+            c = []
+            for p, P in enumerate((even, odd)):
+                l = m + p + 2.0 * np.arange(P.shape[1])
+                c.append(-l * (l + 1.0) * (P @ halves[p][m0:m0 + len(P)])
+                         .transpose(0, 2, 1))
+            self._synthesize(grid, m0, even, odd, *c)
         return np.fft.irfft(out, n=self.n_psi, axis=1)
 
     def ddc(self, u: np.ndarray) -> np.ndarray:
@@ -101,16 +139,18 @@ class SphereGeometry:
         """Sum of real spherical harmonics; coeffs maps (l, m) -> float
         with 0 <= m <= l (cos branch for m >= 0 keyed (l, m), sin branch
         keyed (l, -m))."""
-        a = np.zeros((self.lmax + 1, self.lmax + 1), complex)   # [m, l]
+        cap = max((l for l, _ in coeffs), default=0)
+        if cap > self.lmax or any(abs(m) > l for l, m in coeffs):
+            raise ValidationError("harmonic index beyond grid band limit")
+        a = np.zeros((cap + 1, 2, cap + 1))        # [m, re/im, l - m]
         for (l, m), c in coeffs.items():
-            am = abs(m)
-            if l > self.lmax or am > l:
-                raise ValidationError("harmonic index beyond grid band limit")
-            a[am, l] += c if m >= 0 else -1j * c
+            a[abs(m), int(m < 0), l - abs(m)] += c if m >= 0 else -c
         out = np.zeros((self.n_theta, self.n_psi // 2 + 1), complex)
-        for m in range(self.lmax + 1):
-            if a[m].any():
-                out[:, m] = self._legendre_block(m).T @ a[m, m:]
+        grid = out.view(float).reshape(self.n_theta, -1, 2)
+        for m0, even, odd in self._legendre_chunks(cap):
+            rows = a[m0:m0 + even.shape[0], :, :cap - m0 + 1]
+            self._synthesize(grid, m0, even, odd, rows[..., 0::2],
+                             rows[..., 1::2])
         # irfft counts every order m > 0 twice, once for +m and once for -m
         out[:, 1:] /= 2.0
         return np.fft.irfft(out * self.n_psi, n=self.n_psi, axis=1)
@@ -168,18 +208,17 @@ class TorusGeometry:
 
     def random_potential(self, rng) -> np.ndarray:
         """Unscaled random trigonometric field of bandwidth 6."""
-        x = np.arange(self.n) / self.n
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        f = np.zeros(self.shape)
+        # c cos(t) + s sin(t) = Re((c - i s) e^{i t}); a wave number k
+        # lands on the grid's k mod n mode, as it aliases there anyway
+        spec = np.zeros(self.shape, complex)
         for k in range(-6, 7):
             for l in range(-6, 7):
                 if k == 0 and l == 0:
                     continue
                 c = rng.normal() / (1.0 + k * k + l * l)
                 s = rng.normal() / (1.0 + k * k + l * l)
-                ang = 2.0 * np.pi * (k * xx + l * yy)
-                f += c * np.cos(ang) + s * np.sin(ang)
-        return f
+                spec[k % self.n, l % self.n] += c - 1j * s
+        return np.fft.ifft2(spec, norm="forward").real
 
 
 def make_geometry(kind: str, **kw):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from heights.energies import (am_energy, apply_metric_change, aubin_i,
                               aubin_j, bott_chern_delta,
@@ -38,18 +39,44 @@ def test_sphere_spectral_eigenfunctions():
             assert np.max(np.abs(lap + l * (l + 1) * f)) < 1e-6
 
 
+def legendre_block_reference(g, m):
+    """Orthonormal associated Legendre P_l^m(g.x) for l = m..g.lmax,
+    normalized so that int_{-1}^{1} P^2 dx = 1: the per-order three-term
+    recurrence in l over every node."""
+    x = g.x
+    lmax = g.lmax
+    nl = lmax - m + 1
+    P = np.empty((nl, x.size))
+    # log of the m=m starting norm to dodge overflow
+    logc = 0.5 * (math.lgamma(2 * m + 2) - (2 * m + 1) * math.log(2.0)) \
+        - math.lgamma(m + 1)
+    s = np.maximum(1.0 - x * x, 0.0)
+    with np.errstate(divide="ignore"):
+        logs = np.where(s > 0, np.log(s), -np.inf)
+    P[0] = np.exp(logc + 0.5 * m * logs)
+    if nl > 1:
+        P[1] = math.sqrt(2 * m + 3.0) * x * P[0]
+    for l in range(m + 2, lmax + 1):
+        a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = math.sqrt(((2.0 * l + 1.0) * (l - 1.0 + m) * (l - 1.0 - m))
+                      / ((2.0 * l - 3.0) * (l * l - m * m)))
+        P[l - m] = a * x * P[l - m - 1] - b * P[l - m - 2]
+    return P
+
+
 def complex_fft_laplacian(g, f):
     """Reference sphere Laplacian: full complex FFT in psi, one Legendre
     analysis and synthesis for each of +m and -m."""
     fm = np.fft.fft(f, axis=1) / g.n_psi
     out = np.zeros_like(fm)
     lam = -np.arange(g.lmax + 1.0) * np.arange(1.0, g.lmax + 2.0)
+    w = leggauss(g.n_theta)[1]
     for idx in range(g.n_psi):
         m = idx if idx <= g.n_psi // 2 else idx - g.n_psi
         if abs(m) > g.lmax:
             continue
-        P = g._legendre_block(abs(m))
-        out[:, idx] = P.T @ (lam[abs(m):] * (P @ (g._w_theta * fm[:, idx])))
+        P = legendre_block_reference(g, abs(m))
+        out[:, idx] = P.T @ (lam[abs(m):] * (P @ (w * fm[:, idx])))
     return np.fft.ifft(out * g.n_psi, axis=1).real
 
 
@@ -71,13 +98,116 @@ def test_synth_harmonics_matches_outer_products():
         g = SphereGeometry(16, n_psi=n_psi)
         want = np.zeros(g.shape)
         for (l, m), c in coeffs.items():
-            P = g._legendre_block(abs(m))[l - abs(m)]
+            P = legendre_block_reference(g, abs(m))[l - abs(m)]
             ang = np.cos(m * g.psi) if m >= 0 else np.sin(-m * g.psi)
             want += c * np.outer(P, ang)
         got = g.synth_harmonics(coeffs)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     with pytest.raises(ValidationError):
         SPHERE.synth_harmonics({(2, 3): 1.0})
+
+
+def rfft_laplacian_reference(g, f):
+    """Reference sphere Laplacian: rfft in psi, then analysis and
+    synthesis with the reference block of each order over every node."""
+    fm = np.fft.rfft(f, axis=1)
+    out = np.zeros_like(fm)
+    lam = -np.arange(g.lmax + 1.0) * np.arange(1.0, g.lmax + 2.0)
+    w = leggauss(g.n_theta)[1]
+    for m in range(g.lmax + 1):
+        P = legendre_block_reference(g, m)
+        out[:, m] = P.T @ (lam[m:] * (P @ (w * fm[:, m])))
+    return np.fft.irfft(out, n=g.n_psi, axis=1)
+
+
+# an odd n_theta puts a node on the equator, its own mirror image
+@pytest.mark.parametrize("shape", [(1, 2), (2, 4), (3, 7), (15, 30),
+                                   (16, 33), (17, 34), (17, 35),
+                                   (512, 1024)])
+def test_laplacian_matches_reference_blocks(shape):
+    g = SphereGeometry(*shape)
+    f = np.random.default_rng(1).normal(size=g.shape)
+    want = rfft_laplacian_reference(g, f)
+    got = g.laplacian(f)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(17, 34), (17, 35), (512, 1024)])
+def test_synth_harmonics_matches_reference_blocks(shape):
+    g = SphereGeometry(*shape)
+    rng = np.random.default_rng(2)
+    coeffs = {(l, m): rng.normal() for l in range(13)
+              for m in range(-l, l + 1)}
+    blocks = [legendre_block_reference(g, m) for m in range(13)]
+    want = np.zeros(g.shape)
+    for (l, m), c in coeffs.items():
+        ang = np.cos(m * g.psi) if m >= 0 else np.sin(-m * g.psi)
+        want += c * np.outer(blocks[abs(m)][l - abs(m)], ang)
+    got = g.synth_harmonics(coeffs)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("cap", [4, 16])
+def test_legendre_chunks_equal_reference_blocks(cap):
+    # same recurrence, same operation order: equal to the last bit on
+    # the northern nodes, for every order and below any degree cap
+    g = SphereGeometry(17, n_psi=35)
+    for m0, even, odd in g._legendre_chunks(cap):
+        for j in range(even.shape[0]):
+            m = m0 + j
+            want = legendre_block_reference(g, m)[:cap - m + 1, g.x >= 0]
+            got = np.zeros((even.shape[1] + odd.shape[1], want.shape[1]))
+            got[0::2], got[1::2] = even[j], odd[j]
+            assert np.array_equal(got[:cap - m + 1], want)
+            assert not got[cap - m + 1:].any()
+
+
+def held_bytes(g):
+    """Bytes of the arrays a geometry holds, directly or in lists,
+    tuples and dicts."""
+    def size(v):
+        if isinstance(v, np.ndarray):
+            return v.nbytes
+        if isinstance(v, dict):
+            return size(list(v.values()))
+        if isinstance(v, (list, tuple)):
+            return sum(size(i) for i in v)
+        return 0
+    return sum(size(v) for v in vars(g).values())
+
+
+def test_legendre_values_kept_only_up_to_grid_256():
+    for n_theta, limit in [(256, 40e6), (512, 0)]:
+        g = SphereGeometry(n_theta)
+        before = held_bytes(g)
+        g.laplacian(np.ones(g.shape))
+        grown = held_bytes(g) - before
+        assert grown <= limit and (grown > 0) == (limit > 0)
+
+
+def torus_random_reference(g, rng):
+    """Reference torus random field: each cos/sin pair over the grid."""
+    x = np.arange(g.n) / g.n
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    f = np.zeros(g.shape)
+    for k in range(-6, 7):
+        for l in range(-6, 7):
+            if k == 0 and l == 0:
+                continue
+            c = rng.normal() / (1.0 + k * k + l * l)
+            s = rng.normal() / (1.0 + k * k + l * l)
+            ang = 2.0 * np.pi * (k * xx + l * yy)
+            f += c * np.cos(ang) + s * np.sin(ang)
+    return f
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_torus_random_potential_matches_loop(n):
+    # n < 13 aliases wave numbers on the grid, the same way for both
+    g = TorusGeometry(0.3 + 1j, n=n, degree=2)
+    want = torus_random_reference(g, np.random.default_rng(5))
+    got = g.random_potential(np.random.default_rng(5))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("geometry", [SPHERE, TorusGeometry(0.3 + 1j, n=32,
