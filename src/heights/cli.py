@@ -170,7 +170,12 @@ def run_balanced(args) -> int:
     geometry = SphereGeometry(args.grid)
     if args.gram:
         with open(args.gram) as fh:
-            raw = np.array(json.load(fh), float)
+            entries = json.load(fh)
+        try:
+            raw = np.array(entries, float)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                "--gram: expected a square list of numbers") from None
         g0 = SectionGram(g0.m, g0.basis, raw, g0.volume_convention)
     elif args.perturb:
         rng = np.random.default_rng(args.seed)

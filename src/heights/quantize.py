@@ -37,6 +37,8 @@ class SectionGram:
             raise ValidationError("gram must be square")
         if len(self.basis) != g.shape[0]:
             raise ValidationError("basis size must match gram dimension")
+        if not np.all(np.isfinite(g)):
+            raise ValidationError("gram must be finite")
         if not np.allclose(g, g.T, rtol=0, atol=1e-13 * max(1.0, np.abs(g).max())):
             raise ValidationError("gram must be symmetric")
         if self.volume_convention not in (VOL_OMEGA, VOL_M_OMEGA):
@@ -127,23 +129,49 @@ def family_providers(family_id: str | None) -> FamilyProviders:
     return FAMILIES[family_id]
 
 
-# -- section values on the sphere grid --------------------------------
+# -- sections on the sphere grid ----------------------------------------
+#
+# Every section is one Fourier mode in psi: w_a = mod_a(theta) e^{i a psi}
+# and Dw_a = dmod_a(theta) e^{i (a-1) psi}.  So Grams and FS(H) come from
+# per-latitude sums over the lag a - b and FFTs along psi; the quadrature
+# rule is the grid's, with the sum over psi taken first.
+
+def _section_jet(geometry: SphereGeometry, m: int) -> np.ndarray:
+    """Per-latitude moduli (mod, dmod) stacked as (2, m+1, n_theta) of
+    the monomial sections, |w_a|^2 = |z|^{2a}/(1+|z|^2)^m in the affine
+    chart |z| = tan(theta/2), and of their Chern derivatives.
+    Dw_a = a(1+|z|^2) w_{a-1} - m zbar w_a is taken as a w_{a-1} - (m-a)
+    zbar w_a, whose terms do not cancel near either pole."""
+    lt2 = geometry.log_t2()                        # log |z|^2 per latitude
+    a = np.arange(m + 1)[:, None]
+    mod = np.exp(0.5 * (a * lt2 - m * np.logaddexp(0.0, lt2)))
+    dmod = -(m - a) * np.exp(0.5 * lt2) * mod
+    dmod[1:] += a[1:] * mod[:-1]
+    return np.stack([mod, dmod])
+
 
 def p1_section_values(geometry: SphereGeometry, m: int) -> np.ndarray:
-    """Matrix of monomial section values w_a with |w_a|^2 =
-    |z|^{2a}/(1+|z|^2)^m in the affine chart |z| = tan(theta/2)."""
-    lt2 = geometry.log_t2()[None, :, None]         # log |z|^2 per latitude
-    a = np.arange(m + 1)[:, None, None]
-    mod = np.exp(0.5 * (a * lt2 - m * np.logaddexp(0.0, lt2)))
-    return mod * np.exp(1j * a * geometry.psi)     # (m+1, n_theta, n_psi)
+    """Matrix of monomial section values w_a on the grid,
+    shaped (m+1, n_theta, n_psi)."""
+    mod = _section_jet(geometry, m)[0]
+    return mod[:, :, None] * np.exp(1j * np.arange(m + 1)[:, None, None]
+                                    * geometry.psi)
 
 
-def _weighted_gram(w: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """Re sum_x w_a(x) bar(w_b(x)) dens(x); scales w (rank, grid) in place,
-    so two rank-by-grid complex arrays are alive at once, not three."""
-    w *= np.sqrt(dens)
-    flat = w.reshape(w.shape[0], -1)
-    return (flat @ flat.conj().T).real
+def _gram_of_density(mod: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """Re sum over the grid of w_a bar(w_b) dens: sum over theta of
+    mod_a mod_b Re F(a - b), F the FFT of dens along psi.  Lags fold
+    mod n_psi, as the grid's e^{i(a-b)psi} do."""
+    n_psi = dens.shape[1]
+    # Re F(k) = Re F(n_psi - k) for real dens: the rfft half suffices
+    re_f = np.fft.rfft(dens, axis=1).real
+    n = mod.shape[0]
+    g = np.empty((n, n))
+    for d in range(n):
+        a = np.arange(d, n)
+        g[a, a - d] = g[a - d, a] = (mod[d:] * mod[:n - d]) @ re_f[
+            :, min(d % n_psi, -d % n_psi)]
+    return g
 
 
 def l2_gram_quadrature(geometry: SphereGeometry, m: int,
@@ -152,7 +180,7 @@ def l2_gram_quadrature(geometry: SphereGeometry, m: int,
     if volume_convention == VOL_M_OMEGA:
         dens = dens * float(m)
     return SectionGram(m, p1_basis(m),
-                       _weighted_gram(p1_section_values(geometry, m), dens),
+                       _gram_of_density(_section_jet(geometry, m)[0], dens),
                        volume_convention)
 
 
@@ -198,51 +226,68 @@ def extended_chow_height(model, g: SectionGram, bergman_samples,
 
 # -- balanced iteration -------------------------------------------------
 
-def _section_jet(geometry: SphereGeometry, m: int) -> np.ndarray:
-    """(w, Dw) stacked as (2, m+1, n_theta, n_psi); the Chern derivative
-    Dw_a = a(1+|z|^2) w_{a-1} - m zbar w_a is taken as a w_{a-1} - (m-a)
-    zbar w_a, whose terms do not cancel near either pole."""
-    w = p1_section_values(geometry, m)
-    zbar = np.exp(0.5 * geometry.log_t2()[:, None] - 1j * geometry.psi)
-    a = np.arange(m + 1)[:, None, None]
-    dw = -(m - a) * zbar * w
-    dw[1:] += a[1:] * w[:-1]
-    return np.stack([w, dw])
+def _lag_sums(A: np.ndarray, p: np.ndarray, q: np.ndarray,
+              n_psi: int) -> np.ndarray:
+    """psi Fourier coefficients of sum_ab A_ab p_a q_b e^{i(a-b)psi} per
+    latitude: out[..., k] sums A_ab p_a q_b over a - b = k mod n_psi,
+    for p, q shaped (..., rank, n_theta) and out (..., n_theta, n_psi)."""
+    n = A.shape[0]
+    out = np.zeros(p.shape[:-2] + p.shape[-1:] + (n_psi,))
+    for d in range(1 - n, n):
+        lo, hi = max(d, 0), min(n + d, n)       # rows a with 0 <= a - d < n
+        out[..., d % n_psi] += np.diagonal(A, -d) @ (
+            p[..., lo:hi, :] * q[..., lo - d:hi - d, :])
+    return out
 
 
-def _fs_density(jet: np.ndarray, H: np.ndarray):
+def _fs_density(jet: np.ndarray, H: np.ndarray, n_psi: int):
     """Bergman density Phi_H = |v|^2 and FS(H) curvature density
-    rho = m + ddc log Phi_H = (|v|^2 |Dv|^2 - |<Dv, v>|^2) / |v|^4,
-    with v = c^{-1} w, Dv = c^{-1} Dw for H = c c^T (jet = (w, Dw))."""
+    rho = m + ddc log Phi_H = (|v|^2 |Dv|^2 - |<Dv, v>|^2) / |v|^4 on the
+    grid, with v = c^{-1} w, Dv = c^{-1} Dw for H = c c^T; jet holds the
+    moduli (mod, dmod) of (w, Dw).  With H^{-1} = c^{-T} c^{-1}, each of
+    |v|^2, |Dv|^2 and <Dv, v> is a lag sum of H^{-1} against two moduli,
+    taken to the grid by an inverse FFT along psi."""
     try:
         c = np.linalg.cholesky(np.asarray(H, float))
     except np.linalg.LinAlgError as exc:
         raise NonPositiveDefinite("gram is not positive definite") from exc
-    v, dv = np.linalg.inv(c) @ jet.reshape(2, c.shape[0], -1)
-    phi = np.sum(v.real ** 2 + v.imag ** 2, axis=0)
-    cross = np.sum(dv * v.conj(), axis=0)
-    rho = (phi * np.sum(dv.real ** 2 + dv.imag ** 2, axis=0)
-           - (cross.real ** 2 + cross.imag ** 2)) / phi ** 2
-    if np.min(rho) <= 0:
+    cinv = np.linalg.inv(c)
+    mod, dmod = jet
+    coef = _lag_sums(cinv.T @ cinv, np.stack([mod, dmod, dmod]),
+                     np.stack([mod, dmod, mod]), n_psi)
+    # overflow and NaN are caught by the positivity checks below
+    with np.errstate(all="ignore"):
+        # <Dv, v> is e^{-i psi} times the transform of its lag sums; the
+        # factor drops out of |<Dv, v>|
+        cross2 = np.abs(np.fft.ifft(coef[2], norm="forward")) ** 2
+        # the lag sums of |v|^2 and |Dv|^2 are even in the lag, so their
+        # transforms are real and need only the half spectrum
+        phi, dv2 = np.fft.irfft(coef[:2, :, :n_psi // 2 + 1], n=n_psi,
+                                norm="forward")
+        rho = (phi * dv2 - cross2) / phi ** 2
+    # phi is no longer a sum of squares; NaN fails both tests
+    if not np.all(phi > 0):
+        raise NonPositiveDefinite("Bergman density lost positivity")
+    if not np.all(rho > 0):
         raise NonPositiveDefinite("FS(H) curvature density lost positivity")
-    return phi.reshape(jet.shape[2:]), rho.reshape(jet.shape[2:])
+    return phi, rho
 
 
 def bergman_density(geometry: SphereGeometry, m: int,
                     H: np.ndarray) -> np.ndarray:
     """Phi_H = sum_{ab} (H^{-1})_{ab} w_a bar(w_b) on the grid."""
-    return _fs_density(_section_jet(geometry, m), H)[0]
+    return _fs_density(_section_jet(geometry, m), H, geometry.n_psi)[0]
 
 
 def fubini_study_of(geometry: SphereGeometry, m: int, H: np.ndarray):
     """FS(H) data: Bergman log-density u and the curvature density m + ddc u."""
-    phi, rho = _fs_density(_section_jet(geometry, m), H)
+    phi, rho = _fs_density(_section_jet(geometry, m), H, geometry.n_psi)
     return np.log(phi), rho
 
 
 def _t_operator(g, jet, phi, rho, geometry) -> SectionGram:
     """balanced_step given (Phi_H, rho) of H = g.gram."""
-    newg = _weighted_gram(jet[0].copy(), geometry.weights * rho / phi)
+    newg = _gram_of_density(jet[0], geometry.weights * rho / phi)
     newg *= np.trace(g.gram) / np.trace(newg)
     return SectionGram(g.m, g.basis, newg, g.volume_convention)
 
@@ -250,7 +295,8 @@ def _t_operator(g, jet, phi, rho, geometry) -> SectionGram:
 def balanced_step(g: SectionGram, geometry: SphereGeometry) -> SectionGram:
     """One T-operator step: L^2 Gram under FS(H), trace renormalized."""
     jet = _section_jet(geometry, g.m)
-    return _t_operator(g, jet, *_fs_density(jet, g.gram), geometry)
+    return _t_operator(g, jet, *_fs_density(jet, g.gram, geometry.n_psi),
+                       geometry)
 
 
 def balanced_iterate(g0: SectionGram, geometry: SphereGeometry,
@@ -264,10 +310,11 @@ def balanced_iterate(g0: SectionGram, geometry: SphereGeometry,
     if not tol > 0 or max_iter < 1:
         raise ValidationError("tol must be > 0 and max_iter >= 1")
     jet = _section_jet(geometry, g0.m)
-    g, fs, trace = g0, _fs_density(jet, g0.gram), []
+    g, fs, trace = g0, _fs_density(jet, g0.gram, geometry.n_psi), []
     for it in range(1, max_iter + 1):
         nxt = _t_operator(g, jet, *fs, geometry)
-        fs = _fs_density(jet, nxt.gram)     # for h~_C(nxt) and the next step
+        # for h~_C(nxt) and the next step
+        fs = _fs_density(jet, nxt.gram, geometry.n_psi)
         dist = float(np.max(np.abs(nxt.gram - g.gram)))
         h = (_htilde_c(model, nxt, geometry, *fs)
              if model is not None else float("nan"))
@@ -294,7 +341,8 @@ def htilde_c_of_gram(model, g: SectionGram,
     of (L_m^2) against the reference FS^m metric remains.
     """
     return _htilde_c(model, g, geometry,
-                     *_fs_density(_section_jet(geometry, g.m), g.gram))
+                     *_fs_density(_section_jet(geometry, g.m), g.gram,
+                                  geometry.n_psi))
 
 
 # -- scans ---------------------------------------------------------------

@@ -289,6 +289,25 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
     assert "NonPositiveDefinite" in err
 
 
+def test_overflowing_gram_exits_3(tmp_path, capsys):
+    # H^{-1} = diag(1e300, 1) overflows the FS(H) curvature to NaN
+    gram = tmp_path / "g.json"
+    gram.write_text(json.dumps([[1e-300, 0.0], [0.0, 1.0]]))
+    code, _, err = run(["balanced", "--family", "p1-fs", "--m", "1",
+                        "--gram", str(gram)], capsys)
+    assert code == 3 and "NonPositiveDefinite" in err
+
+
+@pytest.mark.parametrize("entries", [
+    [[1, "a"], [0, 1]], [[1, 2], [3]], {"a": 1}])
+def test_malformed_gram_file_exits_2(tmp_path, capsys, entries):
+    gram = tmp_path / "g.json"
+    gram.write_text(json.dumps(entries))
+    code, _, err = run(["balanced", "--family", "p1-fs", "--m", "1",
+                        "--gram", str(gram)], capsys)
+    assert code == 2 and "ValidationError" in err and "--gram" in err
+
+
 def test_deterministic_output(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -1,6 +1,8 @@
 """Section Grams, Chow heights, balanced iteration, scans."""
 
+import copy
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,7 +23,8 @@ from heights.quantize import (FAMILIES, SectionGram, arithmetic_degree,
                               dequantization_scan, extended_chow_height,
                               fubini_study_of, hilbert_samuel_residual,
                               htilde_c_of_gram, l2_gram, l2_gram_quadrature,
-                              p1_deg_hat, p1_deg_hat_table, p1_fs_gram_diag)
+                              p1_deg_hat, p1_deg_hat_table, p1_fs_gram_diag,
+                              p1_section_values)
 
 GEOM = SphereGeometry(128)
 MODEL = build_p1_fs()
@@ -108,6 +111,148 @@ def perturbed_gram(m, seed, scale=0.2):
     sym = np.random.default_rng(seed).standard_normal((m + 1, m + 1))
     return SectionGram(m, g0.basis, g0.gram * np.exp(scale * (sym + sym.T)),
                        g0.volume_convention)
+
+
+# -- the grid path: sections as (m+1)-by-grid complex arrays ----------
+
+def latitude_blocks(geometry, size=32):
+    """(rows, copy of geometry on those latitudes) per block of rows, so
+    the grid-sized reference arrays stay small on fine grids."""
+    for lo in range(0, geometry.n_theta, size):
+        block = copy.copy(geometry)
+        block.theta = geometry.theta[lo:lo + size]
+        yield slice(lo, lo + size), block
+
+
+def weighted_gram_reference(geometry, m, dens):
+    """Re sum over the grid of w_a(x) bar(w_b(x)) dens(x)."""
+    g = 0.0
+    for rows, block in latitude_blocks(geometry):
+        w = p1_section_values(block, m).reshape(m + 1, -1)
+        g = g + (w * dens[rows].ravel()) @ w.conj().T
+    return g.real
+
+
+def fs_density_reference(geometry, m, H):
+    """(Phi_H, rho) from v = c^{-1} w and Dv = c^{-1} Dw on the grid,
+    Dw_a = a w_{a-1} - (m-a) zbar w_a, for H = c c^T."""
+    cinv = np.linalg.inv(np.linalg.cholesky(H))
+    a = np.arange(m + 1)[:, None, None]
+    phi, rho = [], []
+    for _, block in latitude_blocks(geometry):
+        w = p1_section_values(block, m)
+        zbar = np.exp(0.5 * block.log_t2()[:, None] - 1j * block.psi)
+        dw = -(m - a) * zbar * w
+        dw[1:] += a[1:] * w[:-1]
+        v, dv = cinv @ np.stack([w, dw]).reshape(2, m + 1, -1)
+        vv = np.sum(np.abs(v) ** 2, axis=0)
+        cross = np.sum(dv * v.conj(), axis=0)
+        phi.append(vv)
+        rho.append((vv * np.sum(np.abs(dv) ** 2, axis=0)
+                    - np.abs(cross) ** 2) / vv ** 2)
+    return (np.concatenate(phi).reshape(geometry.shape),
+            np.concatenate(rho).reshape(geometry.shape))
+
+
+REFERENCE_GRIDS = (SphereGeometry(64), GEOM, SphereGeometry(512),
+                   SphereGeometry(17, 35), SphereGeometry(5, 7),
+                   SphereGeometry(4, 6))
+
+
+def test_quadrature_gram_matches_grid_reference():
+    # m >= n_psi / 2 on the small grids: lags alias mod n_psi
+    for geom in REFERENCE_GRIDS:
+        for m in (1, 2, 5, 8, 12, 20) + ((48,) if geom is GEOM else ()):
+            for conv in ("omega", "m-omega"):
+                want = weighted_gram_reference(
+                    geom, m, geom.weights * (m if conv == "m-omega" else 1))
+                got = l2_gram_quadrature(geom, m, conv).gram
+                assert np.max(np.abs(got - want)) <= \
+                    1e-13 * np.max(np.abs(want))
+
+
+def test_fs_density_matches_grid_reference():
+    for geom in REFERENCE_GRIDS:
+        for m in (1, 2, 5, 8, 12, 20):
+            H = perturbed_gram(m, m).gram
+            phi, rho = fs_density_reference(geom, m, H)
+            u, got = fubini_study_of(geom, m, H)
+            assert np.max(np.abs(u - np.log(phi))) <= 1e-13
+            assert np.max(np.abs(got - rho) / np.abs(rho)) <= 1e-13
+            assert np.max(np.abs(bergman_density(geom, m, H) - phi)
+                          / phi) <= 1e-13
+
+
+def test_t_operator_matches_grid_reference():
+    for geom in (GEOM, SphereGeometry(5, 7)):
+        for m in (3, 8):
+            g = perturbed_gram(m, m + 1)
+            phi, rho = fs_density_reference(geom, m, g.gram)
+            want = weighted_gram_reference(geom, m,
+                                           geom.weights * rho / phi)
+            want *= np.trace(g.gram) / np.trace(want)
+            got = balanced_step(g, geom).gram
+            assert np.max(np.abs(got - want)) <= \
+                1e-13 * np.max(np.abs(want))
+
+
+def test_balanced_iterate_matches_grid_reference(monkeypatch):
+    g0 = perturbed_gram(5, 2, scale=0.05)
+    _, iters, converged, trace = balanced_iterate(g0, GEOM, model=MODEL)
+
+    def fs_on_grid(jet, H, n_psi):
+        phi, rho = fs_density_reference(GEOM, 5, H)
+        assert np.all(phi > 0) and np.all(rho > 0)
+        return phi, rho
+
+    def t_on_grid(g, jet, phi, rho, geometry):
+        newg = weighted_gram_reference(geometry, g.m,
+                                       geometry.weights * rho / phi)
+        newg *= np.trace(g.gram) / np.trace(newg)
+        return SectionGram(g.m, g.basis, newg, g.volume_convention)
+    monkeypatch.setattr(quantize, "_fs_density", fs_on_grid)
+    monkeypatch.setattr(quantize, "_t_operator", t_on_grid)
+    _, ref_iters, ref_converged, ref_trace = balanced_iterate(
+        g0, GEOM, model=MODEL)
+    assert converged and ref_converged and iters == ref_iters > 1
+    assert max(abs(h - r) for (_, _, h), (_, _, r)
+               in zip(trace, ref_trace)) <= 1e-13
+
+
+def traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_quantized_side_allocates_no_rank_by_grid_arrays():
+    # one (m+1)-by-grid complex array is 26 MB at m 48 on grid 128 and
+    # 44 MB at m 20 on grid 256; the grid path peaked at 49 and 215 MB
+    assert traced_peak_mb(lambda: l2_gram_quadrature(GEOM, 48)) <= 4
+    geom, g0, runs = SphereGeometry(256), perturbed_gram(20, 0, 0.05), []
+    assert traced_peak_mb(lambda: runs.append(balanced_iterate(
+        g0, geom, tol=1e-300, max_iter=3, model=MODEL))) <= 16
+    assert runs[0][1] == 3
+
+
+def test_fs_density_rejects_nan_and_overflow():
+    # H^{-1} = diag(1e300, 1) overflows Phi |Dv|^2 to a NaN rho
+    with pytest.raises(NonPositiveDefinite):
+        fubini_study_of(GEOM, 1, np.diag([1e-300, 1.0]))
+    g = SectionGram(1, quantize.p1_basis(1), np.diag([1e-300, 1.0]),
+                    "m-omega")
+    with pytest.raises(NonPositiveDefinite):
+        balanced_step(g, GEOM)
+
+
+def test_gram_must_be_finite():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            SectionGram(1, ("a", "b"), np.array([[1.0, bad], [bad, 1.0]]),
+                        "omega")
 
 
 def test_closed_form_curvature_matches_spectral_ddc():
