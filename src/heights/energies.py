@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ArityMismatch, GeometryMismatch, ValidationError
 from .functionals import model_beta
 from .intersection import FAMILY_GEOMETRY, form_key
-from .potentials import PotentialField
+from .potentials import PotentialField, ricci_of_log
 
 
 def am_energy(phi: PotentialField) -> float:
@@ -31,7 +31,7 @@ def ricci_energy(phi: PotentialField) -> float:
 def entropy(phi: PotentialField) -> float:
     """int log(omega_phi^n / omega^n) omega_phi^n."""
     g = phi.geometry
-    return g.quad(np.log(phi.omega_phi) * phi.omega_phi)
+    return g.quad(phi.log_omega * phi.omega_phi)
 
 
 def k_energy(phi: PotentialField, Sbar: float | None = None) -> float:
@@ -69,7 +69,7 @@ def bott_chern_delta(phi: PotentialField, curvature_forms) -> float:
 
 def ricci_density(geometry, omega_density) -> np.ndarray:
     """Ric(omega_h) relative density in c1 units."""
-    return geometry.ric - geometry.ddc(np.log(omega_density))
+    return ricci_of_log(geometry, np.log(omega_density))
 
 
 def scalar_curvature_l2(geometry, omega_density) -> float:
@@ -102,9 +102,9 @@ def apply_metric_change(model, phi: PotentialField):
     beta = float(model_beta(model))
     Lk = model.L_class
     Kk = model.K_class
-    log_ratio = np.log(phi.omega_phi)
+    log_ratio = phi.log_omega
     ric0 = g.ric
-    ric_phi = ricci_density(g, phi.omega_phi)
+    ric_phi = phi.ricci
     dA = beta * g.quad(phi.samples * (1.0 + phi.omega_phi))
     dB = beta * (g.quad(phi.samples * (-ric0))
                  + g.quad(log_ratio * phi.omega_phi))
@@ -129,7 +129,7 @@ def metric_model_pair(model, phi: PotentialField):
     g = phi.geometry
     changed = apply_metric_change(model, phi)
     beta = float(model_beta(model))
-    log_ratio = np.log(phi.omega_phi)
+    log_ratio = phi.log_omega
     ric0 = g.ric
     Lk, Kk = model.L_class, model.K_class
     L0, K0 = Lk + "_ref", Kk + "_ref"

@@ -8,6 +8,7 @@ scale factors.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -163,6 +164,9 @@ def na_calabi(m: IntersectionModel, primes) -> Fraction:
 
 
 def arakelov_calabi(m: IntersectionModel, primes, arch_term: float) -> float:
+    if not math.isfinite(arch_term):
+        raise ValidationError(f"archimedean Calabi term must be finite, "
+                              f"got {arch_term!r}")
     if arch_term < 0:
         raise NegativeArchTerm("archimedean Calabi term is a square; "
                                "negative input signals an upstream bug")

@@ -68,13 +68,20 @@ class SphereGeometry:
         m <= cap) of one chunk: even[m - m0, i] and odd[m - m0, i] hold
         the orthonormal P_{m+k}^m (int_{-1}^{1} P^2 dx = 1) at the
         northern nodes for k = 2i and k = 2i + 1, zero where m + k > cap.
-        The recurrence walks k = l - m for the whole chunk at once."""
+        The recurrence walks k = l - m for the whole chunk at once.  Every
+        chunk is written into one buffer, so even and odd are views that
+        stay valid only until the next chunk is asked for."""
         x = self.x[self._north]
         logs = np.log(1.0 - x * x)
+        buf = np.empty((cap + 2) * 16 * x.size)
+        scratch = np.empty((16, x.size))      # b * P[k - 1]
         for m0 in range(0, cap + 1, 16):
             m = np.arange(m0, min(m0 + 16, cap + 1))
             K = cap - m0 + 1
-            P = np.zeros((K + 1, m.size, x.size))     # P[k + 1]; P[0] = 0
+            # P[k + 1]: a contiguous head of buf, so each chunk has the
+            # layout of a fresh (K + 1, orders, nodes) array
+            P = buf[:(K + 1) * m.size * x.size].reshape(K + 1, m.size, x.size)
+            P[0] = 0.0
             # log of the k = 0 norm to dodge overflow
             logc = np.array([0.5 * (math.lgamma(2 * i + 2)
                                     - (2 * i + 1) * math.log(2.0))
@@ -90,7 +97,10 @@ class SphereGeometry:
                 new = P[k + 1, :n]
                 np.multiply(a[k - 1, :n, None], x, out=new)
                 new *= P[k, :n]
-                new -= b[k - 1, :n, None] * P[k - 1, :n]
+                new -= np.multiply(b[k - 1, :n, None], P[k - 1, :n],
+                                   out=scratch[:n])
+                if n < m.size:
+                    P[k + 1, n:] = 0.0
             yield m0, P[1::2].transpose(1, 0, 2), P[2::2].transpose(1, 0, 2)
 
     def _synthesize(self, grid, m0, even, odd, ce, co):

@@ -174,12 +174,17 @@ class HeightValue:
 
     @staticmethod
     def from_json(obj: dict) -> "HeightValue":
+        real = float(obj.get("real", 0.0))
+        if not math.isfinite(real):
+            raise ValueError(f"real part must be finite, got {real!r}")
+        real_exact = obj.get("real_exact", obj.get("real", 0.0) == 0.0)
+        if not isinstance(real_exact, bool):
+            raise TypeError(f"real_exact must be true or false, "
+                            f"got {real_exact!r}")
         return HeightValue(
             Fraction(obj.get("const", 0)),
             {int(k): Fraction(v) for k, v in obj.get("logs", {}).items()},
-            float(obj.get("real", 0.0)),
-            bool(obj.get("real_exact", obj.get("real", 0.0) == 0.0)),
-        )
+            real, real_exact)
 
 
 ZERO = HeightValue()

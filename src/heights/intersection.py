@@ -330,8 +330,7 @@ class IntersectionModel:
                 tuple(k.split(",")): Fraction(v)
                 for k, v in obj.get("generic_degrees", {}).items()}
         fields = {}
-        for name, convert in (("n", operator.index),
-                              ("degree_KQ", operator.index),
+        for name, convert in (("n", _json_int), ("degree_KQ", _json_int),
                               ("deg_Ln", Fraction), ("deg_LK", Fraction),
                               ("L_class", str), ("K_class", str)):
             with _json_field(name):
@@ -351,12 +350,20 @@ class IntersectionModel:
             return IntersectionModel.from_json(json.load(fh))
 
 
+def _json_int(v) -> int:
+    """An exact JSON integer: true and false are not 1 and 0 here."""
+    if isinstance(v, bool):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return operator.index(v)
+
+
 @contextmanager
 def _json_field(name: str):
     """Re-raise a malformed or missing model-JSON field as ValidationError."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise ValidationError(
             f"model field {name!r} is missing or malformed: "
             f"{type(exc).__name__}: {exc}") from exc

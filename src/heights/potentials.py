@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import NonKahler, ValidationError
@@ -10,11 +12,18 @@ from .geometry import SphereGeometry, TorusGeometry, make_geometry
 POSITIVITY_MARGIN = 1e-10
 
 
+def ricci_of_log(geometry, log_omega) -> np.ndarray:
+    """Ric(omega_h) relative density in c1 units from log(omega_h/omega)."""
+    return geometry.ric - geometry.ddc(log_omega)
+
+
 class PotentialField:
     """Samples of phi plus the derived omega_phi relative density.
 
     omega_phi = 1 + ddc(phi) must stay strictly positive; violations
-    abort instead of clipping.
+    abort instead of clipping.  log_omega and ricci are computed on first
+    use and kept, so samples must not be changed in place (use scale or +,
+    which build a new field).
     """
 
     def __init__(self, geometry, samples, _ddc=None):
@@ -30,6 +39,16 @@ class PotentialField:
             raise NonKahler(
                 "omega_phi loses positivity (min density "
                 f"{np.min(self.omega_phi):.3e})")
+
+    @cached_property
+    def log_omega(self) -> np.ndarray:
+        """log(omega_phi^n / omega^n)."""
+        return np.log(self.omega_phi)
+
+    @cached_property
+    def ricci(self) -> np.ndarray:
+        """Ric(omega_phi) relative density in c1 units."""
+        return ricci_of_log(self.geometry, self.log_omega)
 
     @staticmethod
     def constant(geometry, c: float) -> "PotentialField":

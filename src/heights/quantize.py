@@ -251,7 +251,10 @@ def _fs_density(jet: np.ndarray, H: np.ndarray, n_psi: int):
         c = np.linalg.cholesky(np.asarray(H, float))
     except np.linalg.LinAlgError as exc:
         raise NonPositiveDefinite("gram is not positive definite") from exc
-    cinv = np.linalg.inv(c)
+    try:
+        cinv = np.linalg.inv(c)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositiveDefinite("gram is numerically singular") from exc
     mod, dmod = jet
     coef = _lag_sums(cinv.T @ cinv, np.stack([mod, dmod, dmod]),
                      np.stack([mod, dmod, mod]), n_psi)

@@ -69,11 +69,46 @@ def _string_degree(obj):
     obj["degree_KQ"] = "1"
 
 
+def _zero_denominator_const(obj):
+    obj["form"]["K,L"]["const"] = "1/0"
+
+
+def _zero_denominator_deg_ln(obj):
+    obj["deg_Ln"] = "1/0"
+
+
+def _nan_real(obj):
+    obj["form"]["K,L"]["real"] = float("nan")
+
+
+def _inf_real(obj):
+    obj["form"]["K,L"]["real"] = float("inf")
+
+
+def _string_real_exact(obj):
+    obj["form"]["K,L"]["real_exact"] = "no"
+
+
+def _boolean_n(obj):
+    obj["n"] = True
+
+
+def _boolean_degree(obj):
+    obj["degree_KQ"] = True
+
+
 @pytest.mark.parametrize("malform, field", [
     (_malform_deg_ln, "deg_Ln"),
     (_drop_k_class, "K_class"),
     (_bad_log_label, "form[K,L]"),
     (_string_degree, "degree_KQ"),
+    (_zero_denominator_const, "form[K,L]"),
+    (_zero_denominator_deg_ln, "deg_Ln"),
+    (_nan_real, "form[K,L]"),
+    (_inf_real, "form[K,L]"),
+    (_string_real_exact, "form[K,L]"),
+    (_boolean_n, "n"),
+    (_boolean_degree, "degree_KQ"),
 ])
 def test_malformed_model_field_exits_2(tmp_path, capsys, malform, field):
     obj = build_p1_fs().to_json()
@@ -83,7 +118,15 @@ def test_malformed_model_field_exits_2(tmp_path, capsys, malform, field):
     for argv in (["validate", "--model", str(bad)],
                  ["compute", "--model", str(bad)]):
         code, _, err = run(argv, capsys)
-        assert code == 2 and "ValidationError" in err and field in err
+        assert code == 2 and "ValidationError" in err
+        assert f"model field {field!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("arch_term", ["nan", "inf"])
+def test_non_finite_arch_term_exits_2(capsys, arch_term):
+    code, out, err = run(["compute", "--family", "p1-fs", "--functional",
+                          "calabi", "--arch-term", arch_term], capsys)
+    assert code == 2 and "finite" in err and out == ""
 
 
 def test_compute_bad_primes_token_exits_2(capsys):
@@ -295,6 +338,14 @@ def test_overflowing_gram_exits_3(tmp_path, capsys):
     gram.write_text(json.dumps([[1e-300, 0.0], [0.0, 1.0]]))
     code, _, err = run(["balanced", "--family", "p1-fs", "--m", "1",
                         "--gram", str(gram)], capsys)
+    assert code == 3 and "NonPositiveDefinite" in err
+
+
+def test_singular_gram_exits_3(capsys):
+    # 64 latitudes cannot resolve m = 400: the T-operator Gram passes
+    # its Cholesky but its factor cannot be inverted
+    code, _, err = run(["balanced", "--family", "p1-fs", "--m", "400",
+                        "--grid", "64", "--max-iter", "3"], capsys)
     assert code == 3 and "NonPositiveDefinite" in err
 
 

@@ -84,6 +84,19 @@ def test_composite_label_rejected():
         HeightValue.from_json({"const": "0", "logs": {"9": "1"}})
 
 
+@pytest.mark.parametrize("real", [math.nan, math.inf, -math.inf])
+def test_from_json_rejects_non_finite_real(real):
+    with pytest.raises(ValueError, match="finite"):
+        HeightValue.from_json({"const": "0", "real": real})
+
+
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_from_json_rejects_non_boolean_real_exact(flag):
+    with pytest.raises(TypeError, match="real_exact"):
+        HeightValue.from_json({"const": "0", "real": 0.0,
+                               "real_exact": flag})
+
+
 def test_real_exact_flag():
     assert HeightValue(Fraction(1, 3)).real_exact
     assert not HeightValue(0, {}, 0.5).real_exact

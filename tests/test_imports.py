@@ -88,6 +88,10 @@ def test_import_heights_loads_no_numpy():
 def test_exact_cli_calls_load_no_numpy_or_mpmath(tmp_path):
     model = tmp_path / "p1.json"
     heights.build_p1_fs().save(model)
+    bad = tmp_path / "bad.json"
+    obj = heights.build_p1_fs().to_json()
+    obj["form"]["K,L"]["real"] = float("nan")
+    bad.write_text(json.dumps(obj))
     calls = [
         ["compute", "--family", "p1-fs", "--functional", "hk"],
         ["compute", "--family", "p2-blowup", "--functional", "hk",
@@ -98,6 +102,9 @@ def test_exact_cli_calls_load_no_numpy_or_mpmath(tmp_path):
         ["compute", "--family", "nope"],
         ["bp", "--weights", "4,6,7", "--prime", "5"],
         ["faltings", "--a-invariants", "0,0,1,-1,0", "--delta-min", "38"],
+        ["validate", "--model", str(bad)],
+        ["compute", "--family", "p1-fs", "--functional", "calabi",
+         "--arch-term", "nan"],
     ]
     proc = _python(f"""
 import contextlib, io, json, sys
@@ -115,6 +122,6 @@ print(json.dumps([exact, faltings]))
 """)
     assert proc.returncode == 0, proc.stderr
     exact, faltings = json.loads(proc.stdout)
-    assert [code for code, _, _ in exact] == [0, 0, 0, 0, 2, 2, 2]
+    assert [code for code, _, _ in exact] == [0, 0, 0, 0, 2, 2, 2, 2, 2]
     assert not any(np or mp for _, np, mp in exact), exact
     assert faltings[:2] == [0, False]

@@ -17,7 +17,8 @@ from heights.intersection import (DivisorClassId, FiberComponent, FormalSum,
                                   IntersectionModel, ModelPair, SymmetricForm,
                                   form_key)
 from heights.families import _blowup_primitive_form, build_p2_blowup_family
-from heights.functionals import (component_twist_derivative, modular_height,
+from heights.functionals import (arakelov_calabi,
+                                 component_twist_derivative, modular_height,
                                  na_calabi, na_scalar_curvature,
                                  normalized_df, normalized_df_twisted,
                                  relative_modular_height,
@@ -229,6 +230,20 @@ def test_bad_model_json_rejects_composite_prime(tmp_path):
     p.write_text(json.dumps(obj))
     with pytest.raises(NonPrimeLabel):
         IntersectionModel.load(p)
+
+
+@pytest.mark.parametrize("field", ["n", "degree_KQ"])
+def test_model_json_rejects_boolean_integers(field):
+    obj = simple_model().to_json()
+    obj[field] = True
+    with pytest.raises(ValidationError, match=f"'{field}'"):
+        IntersectionModel.from_json(obj)
+
+
+@pytest.mark.parametrize("arch_term", [math.nan, math.inf])
+def test_arakelov_calabi_rejects_non_finite_arch_term(arch_term):
+    with pytest.raises(ValidationError, match="finite"):
+        arakelov_calabi(two_component_model(), [7], arch_term)
 
 
 def test_twist_by_base_divisor_preserves_hk():

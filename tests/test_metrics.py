@@ -14,8 +14,12 @@ from heights.energies import (am_energy, apply_metric_change, aubin_i,
 from heights.errors import (ArityMismatch, GeometryMismatch, NonKahler,
                             ValidationError)
 from heights.families import build_p1_fs
-from heights.functionals import decomposition_check, modular_height
+from heights.functionals import (decomposition_check, model_beta,
+                                  modular_height)
 from heights.geometry import SphereGeometry, TorusGeometry, make_geometry
+from heights.heightvalue import HeightValue
+from heights.intersection import (DivisorClassId, IntersectionModel,
+                                  SymmetricForm, form_key)
 from heights.potentials import (PotentialField, load_potential_csv,
                                 save_potential_csv)
 
@@ -147,12 +151,18 @@ def test_synth_harmonics_matches_reference_blocks(shape):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("cap", [4, 16])
+@pytest.mark.parametrize("cap", [4, 16, 33, 40])
 def test_legendre_chunks_equal_reference_blocks(cap):
     # same recurrence, same operation order: equal to the last bit on
-    # the northern nodes, for every order and below any degree cap
-    g = SphereGeometry(17, n_psi=35)
-    for m0, even, odd in g._legendre_chunks(cap):
+    # the northern nodes, for every order and below any degree cap.  All
+    # chunks share one buffer, so each is copied as it is yielded; caps
+    # 33 and 40 take three chunks, the last one short, and would show
+    # rows left over from an earlier chunk
+    g = SphereGeometry(41, n_psi=83)
+    chunks = [(m0, even.copy(), odd.copy())
+              for m0, even, odd in g._legendre_chunks(cap)]
+    assert [m0 for m0, _, _ in chunks] == list(range(0, cap + 1, 16))
+    for m0, even, odd in chunks:
         for j in range(even.shape[0]):
             m = m0 + j
             want = legendre_block_reference(g, m)[:cap - m + 1, g.x >= 0]
@@ -279,6 +289,79 @@ def test_apply_metric_change_identity():
     dh = (modular_height(changed) - modular_height(model)).evaluate()
     mu = k_energy(phi)
     assert dh == pytest.approx(mu, rel=1e-12, abs=1e-14)
+
+
+def torus_model(degree):
+    """Genus-one fiber with deg_Ln = degree and deg_LK = 0."""
+    form = SymmetricForm(2, {
+        ("L", "L"): HeightValue(0.5),
+        ("K", "L"): HeightValue(log_terms={2: 1}),
+        ("K", "K"): HeightValue(0),
+    })
+    return IntersectionModel(
+        n=1, degree_KQ=1,
+        classes=(DivisorClassId("L", "polarization"),
+                 DivisorClassId("K", "relative-canonical")),
+        form=form, L_class="L", K_class="K", deg_Ln=degree, deg_LK=0)
+
+
+FIELD_CASES = [(SPHERE, build_p1_fs()),
+               (TorusGeometry(0.3 + 1j, n=32, degree=2), torus_model(2))]
+
+
+@pytest.mark.parametrize("geometry, model", FIELD_CASES)
+def test_metric_change_takes_one_ricci_transform(geometry, model,
+                                                 monkeypatch):
+    phi = PotentialField.random(geometry, 8)
+    calls = []
+    laplacian = geometry.laplacian
+    monkeypatch.setattr(geometry, "laplacian",
+                        lambda u: calls.append(1) or laplacian(u))
+    apply_metric_change(model, phi)
+    metric_model_pair(model, phi)
+    k_energy(phi)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("geometry, model", FIELD_CASES)
+def test_cached_ricci_equals_explicit_path(geometry, model):
+    phi = PotentialField.random(geometry, 12)
+    g = geometry
+    changed = apply_metric_change(model, phi)
+    # the explicit path: Ric(omega_phi) = ric - ddc(log omega_phi)
+    log_ratio = np.log(phi.omega_phi)
+    ric_phi = g.ric - g.ddc(log_ratio)
+    assert np.array_equal(phi.log_omega, log_ratio)
+    assert np.array_equal(phi.ricci, ric_phi)
+    assert np.array_equal(ricci_density(g, phi.omega_phi), ric_phi)
+    beta = float(model_beta(model))
+    Lk, Kk = model.L_class, model.K_class
+    shifts = {
+        (Lk, Lk): beta * g.quad(phi.samples * (1.0 + phi.omega_phi)),
+        (Lk, Kk): beta * (g.quad(phi.samples * (-g.ric))
+                          + g.quad(log_ratio * phi.omega_phi)),
+        (Kk, Kk): beta * (g.quad(log_ratio * (-g.ric))
+                          + g.quad(log_ratio * (-ric_phi))),
+    }
+    for pair, shift in shifts.items():
+        key = form_key(pair)
+        assert changed.form.entries[key] == \
+            model.form.entries[key].shift_real(shift)
+    ent = g.quad(log_ratio * phi.omega_phi)
+    assert entropy(phi) == ent
+    assert k_energy(phi) == (g.default_Sbar / 2) * am_energy(phi) \
+        - g.quad(phi.samples * g.ric) / g.V + ent / g.V
+
+
+def test_derived_fields_start_empty():
+    # Ric is not linear in phi: a sum or a rescaling computes its own
+    a = PotentialField.random(SPHERE, 1)
+    b = PotentialField.random(SPHERE, 2)
+    assert a.ricci is a.ricci and b.ricci is b.ricci    # kept once computed
+    for phi in (a + b, a.scale(0.5)):
+        assert "log_omega" not in vars(phi) and "ricci" not in vars(phi)
+        assert np.array_equal(phi.ricci, ricci_density(SPHERE,
+                                                       phi.omega_phi))
 
 
 def test_apply_metric_change_geometry_guard():
