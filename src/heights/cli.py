@@ -162,15 +162,17 @@ def run_balanced(args) -> int:
     import numpy as np
 
     from .geometry import SphereGeometry
-    from .quantize import (VOL_M_OMEGA, SectionGram, balanced_iterate,
-                           family_providers)
+    from .quantize import VOL_M_OMEGA, SectionGram, balanced_iterate, l2_gram
 
     model, _ = _load_family(args)
-    g0 = family_providers(model.family).gram(args.m, VOL_M_OMEGA)
+    g0 = l2_gram(model.family, args.m, "fs", VOL_M_OMEGA)
     geometry = SphereGeometry(args.grid)
     if args.gram:
         with open(args.gram) as fh:
-            entries = json.load(fh)
+            try:
+                entries = json.load(fh)
+            except ValueError as exc:   # also an over-long integer literal
+                raise ValidationError(f"--gram: {exc}") from None
         try:
             raw = np.array(entries, float)
         except (TypeError, ValueError):
@@ -324,8 +326,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValidationError, HeightsError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValidationError, HeightsError, OSError) as exc:
         print(f"validation error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_VALIDATION

@@ -190,6 +190,20 @@ def slope_semistability_test(tc: IntersectionModel) -> str:
     return "stable-direction" if lhs < rhs else "violated"
 
 
+def _l_slots(m: IntersectionModel):
+    """(key, value, k_L, gd) per form entry with k_L >= 1 L-slots whose
+    other n slots have nonzero generic degree gd."""
+    for key, val in m.form.entries.items():
+        k_l = key.count(m.L_class)
+        if k_l == 0:
+            continue
+        rest = list(key)
+        rest.remove(m.L_class)
+        gd = m.generic_degree(rest)
+        if gd != 0:
+            yield key, val, k_l, gd
+
+
 def twist_by_base_divisor(m: IntersectionModel,
                           D: Mapping[int, Fraction]) -> IntersectionModel:
     """Model of L(pi*D) for a formal rational sum D of primes.
@@ -204,17 +218,8 @@ def twist_by_base_divisor(m: IntersectionModel,
         T = T + HeightValue(log_terms={p: Fraction(c)})
     if T.is_zero(0.0):
         return m
-    new_entries = {}
-    for key, val in m.form.entries.items():
-        k_l = key.count(m.L_class)
-        if k_l == 0:
-            continue
-        rest = list(key)
-        rest.remove(m.L_class)
-        gd = m.generic_degree(rest)
-        if gd != 0:
-            new_entries[key] = val + T.scale(k_l * gd)
-    return m.replace_form(new_entries)
+    return m.replace_form({key: val + T.scale(k_l * gd)
+                           for key, val, k_l, gd in _l_slots(m)})
 
 
 def model_beta(m: IntersectionModel) -> Fraction:
@@ -232,14 +237,6 @@ def rescale_metric_const(m: IntersectionModel, c: float) -> IntersectionModel:
     if c == 0:
         return m
     beta = float(model_beta(m))
-    new_entries = {}
-    for key, val in m.form.entries.items():
-        k_l = key.count(m.L_class)
-        if k_l == 0:
-            continue
-        rest = list(key)
-        rest.remove(m.L_class)
-        gd = m.generic_degree(rest)
-        if gd != 0:
-            new_entries[key] = val.shift_real(-2.0 * c * beta * k_l * float(gd))
-    return m.replace_form(new_entries)
+    return m.replace_form({
+        key: val.shift_real(-2.0 * c * beta * k_l * float(gd))
+        for key, val, k_l, gd in _l_slots(m)})

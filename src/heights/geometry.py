@@ -18,6 +18,17 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ValidationError
 
+# largest grid built: n_theta <= MAX_GRID, n_psi <= 2 * MAX_GRID and torus
+# n <= MAX_GRID, checked before anything is allocated (leggauss(4096)
+# alone takes ~4.6 s and ~290 MB; the weight grid is n_theta x n_psi)
+MAX_GRID = 4096
+
+
+def _check_size(name: str, size: int, cap: int) -> None:
+    if size > cap:
+        raise ValidationError(f"grid {name} = {size} is over the limit "
+                              f"of {cap}")
+
 
 class SphereGeometry:
     """Gauss-Legendre x trapezoid grid on the round sphere, mass 1."""
@@ -32,6 +43,8 @@ class SphereGeometry:
         if self.n_theta < 1 or self.n_psi < 2:
             raise ValidationError("sphere grid needs n_theta >= 1 and "
                                   "n_psi >= 2")
+        _check_size("n_theta", self.n_theta, MAX_GRID)
+        _check_size("n_psi", self.n_psi, 2 * MAX_GRID)
         x, w = leggauss(self.n_theta)
         self.x = x                      # cos(theta), ascending
         self.theta = np.arccos(x)
@@ -192,6 +205,7 @@ class TorusGeometry:
         self.degree = int(degree)
         if self.n < 1 or self.degree < 1:
             raise ValidationError("torus grid needs n >= 1 and degree >= 1")
+        _check_size("n", self.n, MAX_GRID)
         self.V = float(degree)
         self.shape = (self.n, self.n)
         self.weights = np.full(self.shape, self.V / self.n ** 2)

@@ -18,8 +18,37 @@ from .errors import NonPrimeLabel
 RationalLike = int | str | Fraction
 
 
+# Python's default limit on the digits of an int <-> str conversion
+# (sys.int_info.default_max_str_digits); str() of a longer Fraction fails
+RATIONAL_DIGITS = 4300
+
+
 def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def json_rational(x) -> Fraction:
+    """A rational read from JSON: an integer, a finite float or a string
+    Fraction accepts ("-3/4", "1.5e-3").  A string whose numerator or
+    denominator would have more than RATIONAL_DIGITS digits raises
+    ValueError before Fraction expands its exponent."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected a rational, got {x!r}")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"expected a finite rational, got {x!r}")
+    # with no exponent, neither part has more digits than x has characters
+    if isinstance(x, str) and ("e" in x or "E" in x
+                               or len(x) >= RATIONAL_DIGITS):
+        mantissa, _, exp = x.strip().lower().partition("e")
+        digits = sum(c.isdigit() for c in mantissa)
+        # value = (mantissa digits) * 10^shift
+        shift = (int(exp) if exp else 0) - sum(
+            c.isdigit() for c in mantissa.partition(".")[2])
+        if digits + max(shift, 0) > RATIONAL_DIGITS \
+                or -shift >= RATIONAL_DIGITS:
+            raise ValueError(f"rational {x[:40]!r} has more than "
+                             f"{RATIONAL_DIGITS} digits")
+    return Fraction(x)
 
 
 # Miller-Rabin on these bases is exact below _MR_BOUND (Sorenson-Webster 2015)
@@ -182,8 +211,8 @@ class HeightValue:
             raise TypeError(f"real_exact must be true or false, "
                             f"got {real_exact!r}")
         return HeightValue(
-            Fraction(obj.get("const", 0)),
-            {int(k): Fraction(v) for k, v in obj.get("logs", {}).items()},
+            json_rational(obj.get("const", 0)),
+            {int(k): json_rational(v) for k, v in obj.get("logs", {}).items()},
             real, real_exact)
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (GenericFiberMismatch, IncompleteJointForm, MissingClass,
                      MissingGenericDegree, NonPrimeLabel, UnsupportedFamily,
                      ValidationError)
-from .heightvalue import HeightValue, as_height, is_prime
+from .heightvalue import HeightValue, as_height, is_prime, json_rational
 
 KIND_POLARIZATION = "polarization"
 KIND_CANONICAL = "relative-canonical"
@@ -31,8 +31,9 @@ _KINDS = {KIND_POLARIZATION, KIND_CANONICAL, KIND_VERTICAL,
           KIND_BASE_PULLBACK, KIND_AUXILIARY}
 
 # the family ids a model may store in its `family` field, with the kind
-# of fiber geometry each expects; quantize.FAMILIES keys the closed-form
-# providers (Gram, arithmetic degrees) by the same ids
+# of fiber geometry each expects; quantize has closed forms (Grams,
+# arithmetic degrees) for "p1-fs" only, and a test checks that every id
+# here has them
 FAMILY_GEOMETRY = {"p1-fs": "sphere"}
 
 
@@ -322,16 +323,18 @@ class IntersectionModel:
         with _json_field("fibers"):
             fibers = [FiberComponent(
                 prime=f["prime"], component_id=f["component_id"],
-                deg_L=Fraction(f["deg_L"]), deg_LK=Fraction(f["deg_LK"]),
+                deg_L=json_rational(f["deg_L"]),
+                deg_LK=json_rational(f["deg_LK"]),
                 fiber_multiplicity=f.get("fiber_multiplicity", 1))
                 for f in obj.get("fibers", [])]
         with _json_field("generic_degrees"):
             generic_degrees = {
-                tuple(k.split(",")): Fraction(v)
+                tuple(k.split(",")): json_rational(v)
                 for k, v in obj.get("generic_degrees", {}).items()}
         fields = {}
         for name, convert in (("n", _json_int), ("degree_KQ", _json_int),
-                              ("deg_Ln", Fraction), ("deg_LK", Fraction),
+                              ("deg_Ln", json_rational),
+                              ("deg_LK", json_rational),
                               ("L_class", str), ("K_class", str)):
             with _json_field(name):
                 fields[name] = convert(obj[name])
@@ -347,7 +350,13 @@ class IntersectionModel:
     @staticmethod
     def load(path) -> "IntersectionModel":
         with open(path) as fh:
-            return IntersectionModel.from_json(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:   # also an over-long integer literal
+                raise ValidationError(
+                    f"model file {str(path)!r} is not readable JSON: "
+                    f"{exc}") from None
+        return IntersectionModel.from_json(obj)
 
 
 def _json_int(v) -> int:
@@ -362,7 +371,7 @@ def _json_field(name: str):
     """Re-raise a malformed or missing model-JSON field as ValidationError."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError,
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
             ZeroDivisionError) as exc:
         raise ValidationError(
             f"model field {name!r} is missing or malformed: "

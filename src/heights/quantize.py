@@ -1,23 +1,22 @@
 """Quantized heights: section Grams, arithmetic degrees, Chow heights,
 balanced iteration and the dequantization / Hilbert-Samuel scans.
 
-v1 supports the P^1_Z / Fubini-Study family end to end.  What a family
-provides to the scans and to balanced iteration is registered in
-`FAMILIES` under the id a model stores in its serialized `family` field
-(the ids of `intersection.FAMILY_GEOMETRY`).
+v1 supports the P^1_Z / Fubini-Study family end to end: the closed-form
+Grams and arithmetic degrees below are its, and `l2_gram` and the scans
+refuse any other `family` id (see `intersection.FAMILY_GEOMETRY`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import (ConventionMismatch, NonPositiveDefinite,
                      UnsupportedFamily, ValidationError)
 from .geometry import SphereGeometry
+from .intersection import FAMILY_GEOMETRY
 
 VOL_OMEGA = "omega"
 VOL_M_OMEGA = "m-omega"
@@ -66,10 +65,17 @@ def p1_fs_gram_diag(m: int, volume_convention: str) -> np.ndarray:
     return np.exp(logs)
 
 
+def _check_family(family_id: str | None) -> None:
+    """The closed forms here are those of P^1 with Fubini-Study only."""
+    if family_id != "p1-fs":
+        raise UnsupportedFamily(
+            f"no closed-form providers for family {family_id!r}; "
+            f"known: {sorted(FAMILY_GEOMETRY)}")
+
+
 def l2_gram(family_id: str, m: int, metric_id: str = "fs",
             volume_convention: str = VOL_OMEGA) -> SectionGram:
-    if family_id not in ("p1-fs", "p1"):
-        raise UnsupportedFamily(f"no closed-form Gram for {family_id!r}")
+    _check_family(family_id)
     if metric_id != "fs":
         raise UnsupportedFamily(f"unsupported metric {metric_id!r}")
     if m < 1:
@@ -104,29 +110,6 @@ def p1_deg_hat(m: int, volume_convention: str = VOL_M_OMEGA) -> float:
     if volume_convention != VOL_M_OMEGA:
         dh += 0.5 * (m + 1) * math.log(m)
     return dh
-
-
-class FamilyProviders(NamedTuple):
-    """What the quantized side knows about a family in closed form."""
-    deg_hat_table: Callable[[int], list]   # m_max -> deg_hat(1..m_max)
-    rank: Callable[[int], int]
-    gram: Callable[[int, str], SectionGram]   # (m, convention) -> Gram
-
-
-FAMILIES = {
-    "p1-fs": FamilyProviders(
-        p1_deg_hat_table, lambda m: m + 1,
-        lambda m, convention: l2_gram("p1-fs", m, "fs", convention)),
-}
-
-
-def family_providers(family_id: str | None) -> FamilyProviders:
-    """The providers registered for a model's family id."""
-    if family_id not in FAMILIES:
-        raise UnsupportedFamily(
-            f"no closed-form providers for family {family_id!r}; "
-            f"known: {sorted(FAMILIES)}")
-    return FAMILIES[family_id]
 
 
 # -- sections on the sphere grid ----------------------------------------
@@ -193,17 +176,25 @@ def arithmetic_degree(g: SectionGram) -> float:
     return -0.5 * logdet
 
 
+def _top_power(model) -> float:
+    """(L^{n+1})."""
+    return model.form.pair(*([model.L()] * (model.n + 1))).evaluate()
+
+
+def _chow(model, m: int, top: float, deg_hat: float, rank: int) -> float:
+    """(L_m^{n+1})/((n+1)(L_m^n)[K:Q]) - deg_hat/(rank [K:Q]), L_m = m L,
+    with top = (L^{n+1})."""
+    n, d = model.n, model.degree_KQ
+    return (m ** (n + 1) * top / ((n + 1) * m ** n * float(model.deg_Ln) * d)
+            - deg_hat / (rank * d))
+
+
 def chow_height(model, g: SectionGram) -> float:
-    """(L_m^{n+1})/((n+1)(L_m^n)[K:Q]) - deg_hat/(rank [K:Q]), L_m = m L."""
+    """Chow height of the lattice (H^0(L^m), g) at the model's metric."""
     if g.volume_convention != VOL_M_OMEGA:
         raise ConventionMismatch(
             "Chow height requires the (m omega)^n volume convention")
-    n, d = model.n, model.degree_KQ
-    m = g.m
-    a = model.form.pair(*([model.L()] * (n + 1))).evaluate()
-    top = m ** (n + 1) * a
-    return top / ((n + 1) * (m ** n * float(model.deg_Ln)) * d) \
-        - arithmetic_degree(g) / (g.rank * d)
+    return _chow(model, g.m, _top_power(model), arithmetic_degree(g), g.rank)
 
 
 def extended_chow_height(model, g: SectionGram, bergman_samples,
@@ -358,18 +349,24 @@ class ScanResult:
     columns: tuple = ()
 
 
+def _deg_hat_table(model, m_max: int) -> list:
+    """deg_hat(1..m_max) of the model's family, both checks first."""
+    _check_family(model.family)
+    if m_max < 1:
+        raise ValidationError("m_max must be >= 1")
+    return p1_deg_hat_table(m_max)
+
+
 def hilbert_samuel_residual(model, m_max: int):
     """residual(m) = deg_hat(m) - [A m^{n+1}/(n+1)! - (L^n) m^n log m/(4 (n-1)!)
     - B m^n/(2 n!)] with A = (L^{n+1}), B = (L^n.K)."""
-    fam = family_providers(model.family)
-    if m_max < 1:
-        raise ValidationError("m_max must be >= 1")
+    table = _deg_hat_table(model, m_max)
     n = model.n
-    A = model.form.pair(*([model.L()] * (n + 1))).evaluate()
+    A = _top_power(model)
     B = model.form.pair(*([model.L()] * n + [model.K()])).evaluate()
     Ln = float(model.deg_Ln)
     out = []
-    for m, dh in enumerate(fam.deg_hat_table(m_max), start=1):
+    for m, dh in enumerate(table, start=1):
         main = (A * m ** (n + 1) / math.factorial(n + 1)
                 - Ln * m ** n * math.log(m) / (4.0 * math.factorial(n - 1))
                 - B * m ** n / (2.0 * math.factorial(n)))
@@ -384,15 +381,11 @@ def dequantization_scan(model, m_max: int) -> ScanResult:
     The 1/m absorber needs the log m/m companion to reach the stated
     tolerance on the constant; see docs/normalization.md.
     """
-    fam = family_providers(model.family)
-    if m_max < 1:
-        raise ValidationError("m_max must be >= 1")
-    n, d = model.n, model.degree_KQ
-    A = model.form.pair(*([model.L()] * (n + 1))).evaluate()
+    deg_hats = _deg_hat_table(model, m_max)
+    n, A = model.n, _top_power(model)
     table = []
-    for m, dh in enumerate(fam.deg_hat_table(m_max), start=1):
-        hc = (m ** (n + 1) * A / ((n + 1) * m ** n * float(model.deg_Ln) * d)
-              - dh / (fam.rank(m) * d))
+    for m, dh in enumerate(deg_hats, start=1):
+        hc = _chow(model, m, A, dh, m + 1)
         table.append((m, dh, hc, hc - 0.25 * n * math.log(m)))
 
     lo = max(1, m_max // 2)

@@ -97,6 +97,50 @@ def _boolean_degree(obj):
     obj["degree_KQ"] = True
 
 
+def _huge_exponent_const(obj):
+    obj["form"]["K,L"]["const"] = "1e9999999"
+
+
+def _long_const(obj):
+    obj["form"]["K,L"]["const"] = "1e999999"
+
+
+def _long_decimal_const(obj):
+    obj["form"]["K,L"]["const"] = "0." + "0" * 4299 + "1"
+
+
+def _long_denominator_log(obj):
+    obj["form"]["K,L"]["logs"] = {"2": "1e-9999999"}
+
+
+def _long_deg_ln(obj):
+    obj["deg_Ln"] = "1e999999"
+
+
+def _long_deg_lk(obj):
+    obj["deg_LK"] = "-1e5000"
+
+
+def _long_generic_degree(obj):
+    obj["generic_degrees"] = {"K": "1e999999"}
+
+
+def _long_fiber_degree(obj):
+    obj["fibers"][0]["deg_L"] = "1e999999"
+
+
+def _huge_integer_real(obj):
+    obj["form"]["K,L"]["real"] = 10 ** 400
+
+
+def _boolean_deg_lk(obj):
+    obj["deg_LK"] = True
+
+
+def _infinite_deg_ln(obj):
+    obj["deg_Ln"] = float("inf")
+
+
 @pytest.mark.parametrize("malform, field", [
     (_malform_deg_ln, "deg_Ln"),
     (_drop_k_class, "K_class"),
@@ -109,6 +153,17 @@ def _boolean_degree(obj):
     (_string_real_exact, "form[K,L]"),
     (_boolean_n, "n"),
     (_boolean_degree, "degree_KQ"),
+    (_huge_exponent_const, "form[K,L]"),
+    (_long_const, "form[K,L]"),
+    (_long_decimal_const, "form[K,L]"),
+    (_long_denominator_log, "form[K,L]"),
+    (_long_deg_ln, "deg_Ln"),
+    (_long_deg_lk, "deg_LK"),
+    (_long_generic_degree, "generic_degrees"),
+    (_long_fiber_degree, "fibers"),
+    (_huge_integer_real, "form[K,L]"),
+    (_boolean_deg_lk, "deg_LK"),
+    (_infinite_deg_ln, "deg_Ln"),
 ])
 def test_malformed_model_field_exits_2(tmp_path, capsys, malform, field):
     obj = build_p1_fs().to_json()
@@ -117,9 +172,22 @@ def test_malformed_model_field_exits_2(tmp_path, capsys, malform, field):
     bad.write_text(json.dumps(obj))
     for argv in (["validate", "--model", str(bad)],
                  ["compute", "--model", str(bad)]):
+        start = time.perf_counter()
         code, _, err = run(argv, capsys)
+        assert time.perf_counter() - start < 1.0
         assert code == 2 and "ValidationError" in err
         assert f"model field {field!r}" in err and "Traceback" not in err
+
+
+def test_long_integer_literal_in_model_exits_2(tmp_path, capsys):
+    # json.load itself refuses an integer of more than 4300 digits
+    text = json.dumps(build_p1_fs().to_json())
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"degree_KQ": 1', '"degree_KQ": 1'
+                                + "0" * 5000))
+    code, out, err = run(["validate", "--model", str(bad)], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "ValidationError" in err and "not readable JSON" in err
 
 
 @pytest.mark.parametrize("arch_term", ["nan", "inf"])
@@ -357,6 +425,22 @@ def test_malformed_gram_file_exits_2(tmp_path, capsys, entries):
     code, _, err = run(["balanced", "--family", "p1-fs", "--m", "1",
                         "--gram", str(gram)], capsys)
     assert code == 2 and "ValidationError" in err and "--gram" in err
+
+
+def test_long_integer_literal_in_gram_exits_2(tmp_path, capsys):
+    gram = tmp_path / "g.json"
+    gram.write_text("[[1" + "0" * 5000 + ", 0], [0, 1]]")
+    code, _, err = run(["balanced", "--family", "p1-fs", "--m", "1",
+                        "--gram", str(gram)], capsys)
+    assert code == 2 and "ValidationError" in err and "--gram" in err
+
+
+def test_grid_over_the_limit_exits_2(capsys):
+    start = time.perf_counter()
+    code, out, err = run(["balanced", "--family", "p1-fs", "--m", "2",
+                          "--grid", "200000"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "grid n_theta = 200000" in err
 
 
 def test_deterministic_output(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The lazy package namespace and the numpy-free exact core."""
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -125,3 +126,19 @@ print(json.dumps([exact, faltings]))
     assert [code for code, _, _ in exact] == [0, 0, 0, 0, 2, 2, 2, 2, 2]
     assert not any(np or mp for _, np, mp in exact), exact
     assert faltings[:2] == [0, False]
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracing.py wraps these names; one that is renamed or
+    # deleted would break a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for modname, attr_path, _ in tracing.TARGETS:
+        obj = importlib.import_module(modname)
+        for attr in attr_path.split("."):
+            assert hasattr(obj, attr), f"{modname}.{attr_path}"
+            obj = getattr(obj, attr)
+        assert callable(obj), f"{modname}.{attr_path}"

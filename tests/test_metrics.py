@@ -1,6 +1,7 @@
 """Quadrature geometries, potentials and archimedean energies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from heights.errors import (ArityMismatch, GeometryMismatch, NonKahler,
 from heights.families import build_p1_fs
 from heights.functionals import (decomposition_check, model_beta,
                                   modular_height)
-from heights.geometry import SphereGeometry, TorusGeometry, make_geometry
+from heights.geometry import (MAX_GRID, SphereGeometry, TorusGeometry,
+                              make_geometry)
 from heights.heightvalue import HeightValue
 from heights.intersection import (DivisorClassId, IntersectionModel,
                                   SymmetricForm, form_key)
@@ -431,6 +433,26 @@ def test_geometry_rejects_bad_sizes():
                 lambda: TorusGeometry(1j, degree=0)):
         with pytest.raises(ValidationError):
             bad()
+
+
+def test_grid_sizes_over_the_limit_allocate_nothing(tmp_path):
+    # each size would ask for gigabytes; the refusal comes first
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text(f"# sphere,{MAX_GRID + 1},{2 * MAX_GRID}\n0\n")
+    tracemalloc.start()
+    try:
+        for name, bad in (
+                ("n_theta", lambda: SphereGeometry(200_000)),
+                ("n_theta", lambda: SphereGeometry(MAX_GRID + 1)),
+                ("n_psi", lambda: SphereGeometry(4, n_psi=2 * MAX_GRID + 1)),
+                ("n", lambda: TorusGeometry(1j, n=MAX_GRID + 1)),
+                ("n", lambda: make_geometry("torus", tau=1j, n=10 ** 9)),
+                ("n_theta", lambda: load_potential_csv(csv_path))):
+            with pytest.raises(ValidationError, match=f"grid {name} = "):
+                bad()
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_make_geometry_rejects_unknown():

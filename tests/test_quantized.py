@@ -1,7 +1,9 @@
 """Section Grams, Chow heights, balanced iteration, scans."""
 
 import copy
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -17,7 +19,7 @@ from heights.families import build_p1_fs
 from heights.geometry import SphereGeometry, TorusGeometry
 from heights.intersection import FAMILY_GEOMETRY, IntersectionModel
 from heights.potentials import PotentialField
-from heights.quantize import (FAMILIES, SectionGram, arithmetic_degree,
+from heights.quantize import (SectionGram, arithmetic_degree,
                               balanced_iterate, balanced_step,
                               bergman_density, chow_height,
                               dequantization_scan, extended_chow_height,
@@ -388,10 +390,23 @@ def test_saved_p1_model_keeps_its_family(tmp_path):
         apply_metric_change(back, PotentialField.constant(torus, 0.0))
 
 
-def test_family_ids_have_providers():
-    # the exact core's list of family ids and the quantized providers
-    # are keyed by the same ids
-    assert set(FAMILY_GEOMETRY) == set(FAMILIES)
+def test_every_family_id_has_closed_forms():
+    # a family id added to the exact core without closed forms here
+    # fails this test instead of running the P^1 ones
+    for family_id in FAMILY_GEOMETRY:
+        assert l2_gram(family_id, 3, "fs", "m-omega").rank == 4
+        model = dataclasses.replace(MODEL, family=family_id)
+        assert len(dequantization_scan(model, 10).table) == 10
+        assert len(hilbert_samuel_residual(model, 10)) == 10
+    known = f"known: {sorted(FAMILY_GEOMETRY)}"
+    for family_id in ("p1", None):
+        with pytest.raises(UnsupportedFamily, match=re.escape(known)):
+            l2_gram(family_id, 3, "fs", "m-omega")
+    untagged = dataclasses.replace(MODEL, family=None)
+    for scan in (dequantization_scan, hilbert_samuel_residual):
+        with pytest.raises(UnsupportedFamily,
+                           match="no closed-form providers for family None"):
+            scan(untagged, 10)
 
 
 def test_model_json_family_key():
