@@ -18,16 +18,11 @@ from .families import (BrieskornPhamSpec, EllipticCurveData,
                        build_p2_blowup_family, curve_from_label,
                        curve_periods, faltings_from_periods,
                        faltings_to_hk)
-from .functionals import (arakelov_calabi, arakelov_energy, aubin_I_rel,
-                          aubin_J_rel, entropy_rel, modular_height,
-                          na_scalar_curvature, normalized_df,
-                          relative_modular_height, ricci_energy_rel,
-                          slope_semistability_test)
 from .heightvalue import HeightValue
 from .intersection import IntersectionModel
 
-# numpy, mpmath and the spectral modules load only in the subcommands
-# that compute with them (scan, balanced, faltings)
+# each subcommand imports what only it runs: functionals (compute),
+# numpy and the spectral modules (scan, balanced), mpmath (faltings)
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC = 0, 2, 3
 
@@ -89,6 +84,12 @@ def _emit(rows, emit: str, stream=None):
 
 
 def run_compute(args) -> int:
+    from .functionals import (arakelov_calabi, arakelov_energy, aubin_I_rel,
+                              aubin_J_rel, entropy_rel, modular_height,
+                              na_scalar_curvature, normalized_df,
+                              relative_modular_height, ricci_energy_rel,
+                              slope_semistability_test)
+
     model, pair = _load_family(args)
     if args.relative_to and pair is None:
         raise ValidationError(

@@ -11,16 +11,19 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import FrozenValue
 from .errors import (BadTau, CoprimalityViolated, DuplicatePrime,
                      NonMinimalModel, NonPrimeLabel, ValidationError)
 from .heightvalue import HeightValue, ZERO, is_prime
 from .intersection import (DivisorClassId, FiberComponent, FormalSum,
                            IntersectionModel, ModelPair, SymmetricForm,
                            KIND_CANONICAL, KIND_POLARIZATION, KIND_VERTICAL)
-from .toric import blowup_family_oracle, toric_log_discrepancy
+
+# toric is imported inside its two callers (the validate branch of
+# build_p2_blowup_family, brieskorn_pham_analyze), so that the CLI calls
+# that run neither do not compile it
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -89,6 +92,8 @@ def build_p2_blowup_family(primes=(2, 3, 5), twist: int = 2,
     prim = _blowup_primitive_form(primes)
 
     if validate:
+        from .toric import blowup_family_oracle
+
         orc = blowup_family_oracle(t)
         assert orc["piL2_F"] == 0 and orc["piL_F2"] == -1
         assert orc["F3"] == 1 and orc["piK_F2"] == 1
@@ -168,16 +173,14 @@ def build_p2_blowup_family(primes=(2, 3, 5), twist: int = 2,
 
 # -- quotient-chart multiplicities --------------------------------------
 
-@dataclass(frozen=True)
-class BrieskornPhamSpec:
+class BrieskornPhamSpec(FrozenValue):
     """Diagonal hypersurface sum x_i^{a_i} with pairwise coprime exponents,
     analyzed at a prime of bad reduction."""
-    weights: tuple
-    prime: int
 
-    def __post_init__(self):
-        w = tuple(int(a) for a in self.weights)
-        object.__setattr__(self, "weights", w)
+    _fields = ("weights", "prime")
+
+    def __init__(self, weights: tuple, prime: int):
+        w = tuple(int(a) for a in weights)
         if len(w) < 3:
             raise ValidationError("need at least three exponents")
         n = len(w) - 1
@@ -188,12 +191,13 @@ class BrieskornPhamSpec:
         for a, b in itertools.combinations(w, 2):
             if math.gcd(a, b) != 1:
                 raise CoprimalityViolated(f"gcd({a}, {b}) != 1")
-        if not is_prime(self.prime):
-            raise NonPrimeLabel(f"bp prime {self.prime} is not prime")
+        if not is_prime(prime):
+            raise NonPrimeLabel(f"bp prime {prime} is not prime")
         for a in w:
-            if math.gcd(a, self.prime) != 1:
+            if math.gcd(a, prime) != 1:
                 raise CoprimalityViolated(
-                    f"prime {self.prime} divides exponent {a}")
+                    f"prime {prime} divides exponent {a}")
+        self.__dict__.update(weights=w, prime=prime)
 
     @property
     def n(self) -> int:
@@ -301,6 +305,8 @@ def brieskorn_pham_analyze(spec: BrieskornPhamSpec, j_max: int = 12) -> dict:
     """Local model at the bad prime: the cyclic quotient chart
     1/a_n(a_0..a_{n-1}), its Hilbert-Samuel multiplicity and the log
     discrepancies of the quadrant rays and barycenter valuation."""
+    from .toric import toric_log_discrepancy
+
     if j_max < 1:
         raise ValidationError(f"degree bound j_max must be >= 1, got {j_max}")
     w = spec.weights
@@ -342,21 +348,19 @@ _CURVE_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class EllipticCurveData:
-    a_invariants: tuple
-    delta_min: int
+class EllipticCurveData(FrozenValue):
+    _fields = ("a_invariants", "delta_min")
 
-    def __post_init__(self):
-        a = tuple(int(x) for x in self.a_invariants)
-        object.__setattr__(self, "a_invariants", a)
+    def __init__(self, a_invariants: tuple, delta_min: int):
+        a = tuple(int(x) for x in a_invariants)
+        self.__dict__.update(a_invariants=a, delta_min=delta_min)
         if len(a) != 5:
             raise ValidationError("need (a1, a2, a3, a4, a6)")
-        if self.discriminant() != self.delta_min:
+        if self.discriminant() != delta_min:
             raise NonMinimalModel(
                 f"model discriminant {self.discriminant()} != "
-                f"declared minimal discriminant {self.delta_min}")
-        if self.delta_min == 0:
+                f"declared minimal discriminant {delta_min}")
+        if delta_min == 0:
             raise ValidationError("discriminant 0: the Weierstrass cubic "
                                   "is singular, not an elliptic curve")
 

@@ -9,14 +9,14 @@ scale factors.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import (GenericFiberMismatch, NegativeArchTerm, NonPrimeLabel,
                      UnknownComponent, UnknownPrime, ZeroCoverDegree,
                      ZeroSelfIntersection, ValidationError)
-from .heightvalue import HeightValue, ZERO, is_prime
-from .intersection import (FormalSum, IntersectionModel, ModelPair, form_key)
+from .heightvalue import HeightValue, is_prime
+from .intersection import FormalSum, IntersectionModel, ModelPair
 
 
 def _hk_terms(m: IntersectionModel, L: FormalSum):
@@ -211,11 +211,11 @@ def twist_by_base_divisor(m: IntersectionModel,
     Expansion rules: (pi*D)^2-monomials vanish, and an n-monomial M meets
     pi*D in its generic degree times sum c_p log p.
     """
-    T = ZERO
-    for p, c in D.items():
+    for p in D:
         if not is_prime(p):
             raise NonPrimeLabel(f"base divisor label {p} is not prime")
-        T = T + HeightValue(log_terms={p: Fraction(c)})
+    T = HeightValue._from_parts(
+        Fraction(0), {int(p): Fraction(c) for p, c in D.items()}, 0.0, True)
     if T.is_zero(0.0):
         return m
     return m.replace_form({key: val + T.scale(k_l * gd)

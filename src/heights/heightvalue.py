@@ -9,10 +9,11 @@ non-archimedean identities can be tested with exact equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
+from types import MappingProxyType
 
+from ._frozen import FrozenValue
 from .errors import NonPrimeLabel
 
 RationalLike = int | str | Fraction
@@ -83,30 +84,45 @@ def is_prime(k: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HeightValue:
-    """Immutable exact height value in canonical form."""
+_NO_LOGS = MappingProxyType({})
 
-    const_part: Fraction = Fraction(0)
-    log_terms: Mapping[int, Fraction] = field(default_factory=dict)
-    real_part: float = 0.0
-    real_exact: bool = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "const_part", _frac(self.const_part))
+class HeightValue(FrozenValue):
+    """Immutable exact height value in canonical form: log labels sorted,
+    no zero coefficients, and real_exact false once real_part != 0."""
+
+    _fields = ("const_part", "log_terms", "real_part", "real_exact")
+
+    def __init__(self, const_part: RationalLike = Fraction(0),
+                 log_terms: Mapping[int, RationalLike] = _NO_LOGS,
+                 real_part: float = 0.0, real_exact: bool = True):
+        const = _frac(const_part)
         terms = {}
-        for p, c in self.log_terms.items():
+        for p, c in log_terms.items():
             p = int(p)
             if not is_prime(p):
                 raise NonPrimeLabel(f"log label {p} is not prime")
             c = _frac(c)
             if c != 0:
                 terms[p] = terms.get(p, Fraction(0)) + c
-        terms = {p: c for p, c in sorted(terms.items()) if c != 0}
-        object.__setattr__(self, "log_terms", terms)
-        object.__setattr__(self, "real_part", float(self.real_part))
-        if self.real_part != 0.0:
-            object.__setattr__(self, "real_exact", False)
+        self._store(const, terms, real_part, real_exact)
+
+    @classmethod
+    def _from_parts(cls, const: Fraction, terms: dict, real: float,
+                    real_exact: bool) -> "HeightValue":
+        """Internal arithmetic: labels already checked, coefficients
+        already Fractions, so no is_prime; the form is still canonical."""
+        self = object.__new__(cls)
+        self._store(const, terms, real, real_exact)
+        return self
+
+    def _store(self, const, terms, real, real_exact):
+        real = float(real)
+        self.__dict__.update(
+            const_part=const,
+            log_terms={p: c for p, c in sorted(terms.items()) if c != 0},
+            real_part=real,
+            real_exact=real_exact if real == 0.0 else False)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -115,7 +131,7 @@ class HeightValue:
         logs = dict(self.log_terms)
         for p, c in other.log_terms.items():
             logs[p] = logs.get(p, Fraction(0)) + c
-        return HeightValue(
+        return HeightValue._from_parts(
             self.const_part + other.const_part,
             logs,
             self.real_part + other.real_part,
@@ -128,7 +144,7 @@ class HeightValue:
         return as_height(other) + self
 
     def __neg__(self) -> "HeightValue":
-        return HeightValue(
+        return HeightValue._from_parts(
             -self.const_part,
             {p: -c for p, c in self.log_terms.items()},
             -self.real_part,
@@ -140,7 +156,7 @@ class HeightValue:
 
     def scale(self, q: RationalLike) -> "HeightValue":
         q = _frac(q)
-        return HeightValue(
+        return HeightValue._from_parts(
             q * self.const_part,
             {p: q * c for p, c in self.log_terms.items()},
             float(q) * self.real_part,
@@ -153,8 +169,9 @@ class HeightValue:
     __rmul__ = __mul__
 
     def shift_real(self, r: float) -> "HeightValue":
-        return HeightValue(self.const_part, self.log_terms,
-                           self.real_part + r, self.real_exact and r == 0.0)
+        return HeightValue._from_parts(
+            self.const_part, self.log_terms, self.real_part + r,
+            self.real_exact and r == 0.0)
 
     # -- queries ------------------------------------------------------
 

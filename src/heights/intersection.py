@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
+from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
+from ._frozen import FrozenValue
 from .errors import (GenericFiberMismatch, IncompleteJointForm, MissingClass,
                      MissingGenericDegree, NonPrimeLabel, UnsupportedFamily,
                      ValidationError)
@@ -37,40 +36,38 @@ _KINDS = {KIND_POLARIZATION, KIND_CANONICAL, KIND_VERTICAL,
 FAMILY_GEOMETRY = {"p1-fs": "sphere"}
 
 
-@dataclass(frozen=True)
-class DivisorClassId:
-    name: str
-    kind: str = KIND_AUXILIARY
-    prime: int | None = None
-    component_id: str | None = None
+class DivisorClassId(FrozenValue):
+    _fields = ("name", "kind", "prime", "component_id")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValidationError(f"unknown class kind {self.kind!r}")
-        if self.kind == KIND_VERTICAL:
-            if self.prime is None or not is_prime(self.prime):
+    def __init__(self, name: str, kind: str = KIND_AUXILIARY,
+                 prime: int | None = None, component_id: str | None = None):
+        if kind not in _KINDS:
+            raise ValidationError(f"unknown class kind {kind!r}")
+        if kind == KIND_VERTICAL:
+            if prime is None or not is_prime(prime):
                 raise NonPrimeLabel(
-                    f"vertical class {self.name!r} needs a valid prime")
+                    f"vertical class {name!r} needs a valid prime")
+        self.__dict__.update(name=name, kind=kind, prime=prime,
+                             component_id=component_id)
 
 
-@dataclass(frozen=True)
-class FiberComponent:
-    prime: int
-    component_id: str
-    deg_L: Fraction
-    deg_LK: Fraction
-    fiber_multiplicity: int = 1
+class FiberComponent(FrozenValue):
+    _fields = ("prime", "component_id", "deg_L", "deg_LK",
+               "fiber_multiplicity")
 
-    def __post_init__(self):
-        object.__setattr__(self, "deg_L", Fraction(self.deg_L))
-        object.__setattr__(self, "deg_LK", Fraction(self.deg_LK))
-        if not is_prime(self.prime):
-            raise NonPrimeLabel(f"fiber prime {self.prime} is not prime")
-        if self.deg_L <= 0:
+    def __init__(self, prime: int, component_id: str, deg_L: Fraction,
+                 deg_LK: Fraction, fiber_multiplicity: int = 1):
+        deg_L, deg_LK = Fraction(deg_L), Fraction(deg_LK)
+        if not is_prime(prime):
+            raise NonPrimeLabel(f"fiber prime {prime} is not prime")
+        if deg_L <= 0:
             raise ValidationError(
-                f"component {self.component_id!r}: deg_L must be > 0")
-        if self.fiber_multiplicity < 1:
+                f"component {component_id!r}: deg_L must be > 0")
+        if fiber_multiplicity < 1:
             raise ValidationError("fiber_multiplicity must be >= 1")
+        self.__dict__.update(prime=prime, component_id=component_id,
+                             deg_L=deg_L, deg_LK=deg_LK,
+                             fiber_multiplicity=fiber_multiplicity)
 
 
 class FormalSum(dict):
@@ -164,7 +161,7 @@ class SymmetricForm:
             for p, lc in v.log_terms.items():
                 logs[p] = logs[p] + c * lc if p in logs else c * lc
             real += float(c) * v.real_part
-        return HeightValue(const, logs, real, real_exact)
+        return HeightValue._from_parts(const, logs, real, real_exact)
 
     def is_total_over(self, names: Sequence[str]) -> bool:
         for key in itertools.combinations_with_replacement(sorted(names),
@@ -174,46 +171,41 @@ class SymmetricForm:
         return True
 
 
-@dataclass(frozen=True)
-class IntersectionModel:
-    n: int
-    degree_KQ: int
-    classes: tuple
-    form: SymmetricForm
-    L_class: str
-    K_class: str
-    deg_Ln: Fraction
-    deg_LK: Fraction
-    fibers: tuple = ()
-    generic_degrees: Mapping[tuple, Fraction] = field(default_factory=dict)
-    # id in FAMILY_GEOMETRY; carried through form changes
-    family: str | None = None
+class IntersectionModel(FrozenValue):
+    _fields = ("n", "degree_KQ", "classes", "form", "L_class", "K_class",
+               "deg_Ln", "deg_LK", "fibers", "generic_degrees", "family")
 
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "fibers", tuple(self.fibers))
-        object.__setattr__(self, "deg_Ln", Fraction(self.deg_Ln))
-        object.__setattr__(self, "deg_LK", Fraction(self.deg_LK))
-        names = [c.name for c in self.classes]
+    def __init__(self, n: int, degree_KQ: int, classes: Iterable,
+                 form: SymmetricForm, L_class: str, K_class: str,
+                 deg_Ln: Fraction, deg_LK: Fraction, fibers: Iterable = (),
+                 generic_degrees: Mapping[tuple, Fraction] | None = None,
+                 family: str | None = None):
+        # family: an id in FAMILY_GEOMETRY, carried through form changes
+        classes, fibers = tuple(classes), tuple(fibers)
+        deg_Ln, deg_LK = Fraction(deg_Ln), Fraction(deg_LK)
+        names = [c.name for c in classes]
         if len(set(names)) != len(names):
             raise ValidationError("class names must be unique")
-        if self.n < 1 or self.degree_KQ < 1:
+        if n < 1 or degree_KQ < 1:
             raise ValidationError("n and degree_KQ must be positive")
-        if self.deg_Ln <= 0:
+        if deg_Ln <= 0:
             raise ValidationError("deg_Ln must be > 0")
-        if self.L_class not in names or self.K_class not in names:
+        if L_class not in names or K_class not in names:
             raise MissingClass("L_class and K_class must be listed classes")
-        if self.form.arity != self.n + 1:
+        if form.arity != n + 1:
             raise ValidationError("form arity must equal n+1")
-        if not self.form.is_total_over(names):
+        if not form.is_total_over(names):
             raise IncompleteJointForm("form is not total over the class list")
         gd = {form_key(k): Fraction(v)
-              for k, v in dict(self.generic_degrees).items()}
-        object.__setattr__(self, "generic_degrees", gd)
-        if self.family is not None and self.family not in FAMILY_GEOMETRY:
+              for k, v in dict(generic_degrees or {}).items()}
+        if family is not None and family not in FAMILY_GEOMETRY:
             raise UnsupportedFamily(
-                f"no closed-form providers for family {self.family!r}; "
+                f"no closed-form providers for family {family!r}; "
                 f"known: {sorted(FAMILY_GEOMETRY)}")
+        self.__dict__.update(
+            n=n, degree_KQ=degree_KQ, classes=classes, form=form,
+            L_class=L_class, K_class=K_class, deg_Ln=deg_Ln, deg_LK=deg_LK,
+            fibers=fibers, generic_degrees=gd, family=family)
 
     # -- helpers ------------------------------------------------------
 
@@ -312,7 +304,9 @@ class IntersectionModel:
         with _json_field("classes"):
             classes = [DivisorClassId(
                 name=c["name"], kind=c.get("kind", KIND_AUXILIARY),
-                prime=c.get("prime"), component_id=c.get("component"))
+                prime=(None if c.get("prime") is None
+                       else _json_int(c["prime"])),
+                component_id=c.get("component"))
                 for c in obj["classes"]]
         entries = {}
         with _json_field("form"):
@@ -322,10 +316,11 @@ class IntersectionModel:
                 entries[tuple(k.split(","))] = HeightValue.from_json(v)
         with _json_field("fibers"):
             fibers = [FiberComponent(
-                prime=f["prime"], component_id=f["component_id"],
+                prime=_json_int(f["prime"]), component_id=f["component_id"],
                 deg_L=json_rational(f["deg_L"]),
                 deg_LK=json_rational(f["deg_LK"]),
-                fiber_multiplicity=f.get("fiber_multiplicity", 1))
+                fiber_multiplicity=_json_int(
+                    f.get("fiber_multiplicity", 1)))
                 for f in obj.get("fibers", [])]
         with _json_field("generic_degrees"):
             generic_degrees = {
@@ -378,8 +373,7 @@ def _json_field(name: str):
             f"{type(exc).__name__}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ModelPair:
+class ModelPair(FrozenValue):
     """Two models of the same generic fiber joined on a common resolution.
 
     joint_form lives on the union of the class lists; model_map / ref_map
@@ -387,31 +381,30 @@ class ModelPair:
     monomials must agree with the constituents' own forms.
     """
 
-    model: IntersectionModel
-    ref: IntersectionModel
-    joint_form: SymmetricForm
-    model_map: Mapping[str, str] = None
-    ref_map: Mapping[str, str] = None
+    _fields = ("model", "ref", "joint_form", "model_map", "ref_map")
 
-    def __post_init__(self):
-        if not self.model.same_generic_fiber(self.ref):
+    def __init__(self, model: IntersectionModel, ref: IntersectionModel,
+                 joint_form: SymmetricForm,
+                 model_map: Mapping[str, str] | None = None,
+                 ref_map: Mapping[str, str] | None = None):
+        if not model.same_generic_fiber(ref):
             raise GenericFiberMismatch(
                 "pair constituents must share the generic fiber data")
-        if self.model_map is None:
-            object.__setattr__(self, "model_map",
-                               {c.name: c.name for c in self.model.classes})
-        if self.ref_map is None:
-            object.__setattr__(self, "ref_map",
-                               {c.name: c.name for c in self.ref.classes})
-        for m, mp in ((self.model, self.model_map), (self.ref, self.ref_map)):
+        if model_map is None:
+            model_map = {c.name: c.name for c in model.classes}
+        if ref_map is None:
+            ref_map = {c.name: c.name for c in ref.classes}
+        for m, mp in ((model, model_map), (ref, ref_map)):
             for key, val in m.form.entries.items():
                 jkey = form_key(mp[nm] for nm in key)
-                if jkey not in self.joint_form.entries:
+                if jkey not in joint_form.entries:
                     raise IncompleteJointForm(
                         f"joint form misses embedded monomial {jkey}")
-                if not _embeds_ok(self.joint_form.entries[jkey], val):
+                if not _embeds_ok(joint_form.entries[jkey], val):
                     raise ValidationError(
                         f"joint form disagrees with constituent on {jkey}")
+        self.__dict__.update(model=model, ref=ref, joint_form=joint_form,
+                             model_map=model_map, ref_map=ref_map)
 
     def mL(self) -> FormalSum:
         return FormalSum(self.model_map[self.model.L_class])

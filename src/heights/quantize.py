@@ -9,10 +9,10 @@ refuse any other `family` id (see `intersection.FAMILY_GEOMETRY`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frozen import FrozenValue
 from .errors import (ConventionMismatch, NonPositiveDefinite,
                      UnsupportedFamily, ValidationError)
 from .geometry import SphereGeometry
@@ -21,28 +21,42 @@ from .intersection import FAMILY_GEOMETRY
 VOL_OMEGA = "omega"
 VOL_M_OMEGA = "m-omega"
 
+# largest tensor power m of a section Gram: the closed-form Gram holds
+# (m+1)^2 floats (8 MB at 1000) and a balanced step's section jet
+# 2 (m+1) n_theta (65 MB at grid 4096)
+MAX_GRAM_M = 1000
+# largest m_max of a scan or deg_hat table, which keeps a Python row per
+# m (`scan --m-max 100000` takes 0.7 s and 72 MB of memory on 2 CPUs)
+MAX_SCAN_M = 100_000
 
-@dataclass(frozen=True)
-class SectionGram:
-    m: int
-    basis: tuple
-    gram: np.ndarray
-    volume_convention: str
 
-    def __post_init__(self):
-        g = np.asarray(self.gram, float)
-        object.__setattr__(self, "gram", g)
+def _check_m(name: str, m: int, cap: int) -> None:
+    """1 <= m <= cap, checked before anything of size m is allocated."""
+    if m < 1:
+        raise ValidationError(f"{name} must be >= 1")
+    if m > cap:
+        raise ValidationError(f"{name} = {m} is over the limit of {cap}")
+
+
+class SectionGram(FrozenValue):
+    _fields = ("m", "basis", "gram", "volume_convention")
+
+    def __init__(self, m: int, basis: tuple, gram: np.ndarray,
+                 volume_convention: str):
+        g = np.asarray(gram, float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValidationError("gram must be square")
-        if len(self.basis) != g.shape[0]:
+        if len(basis) != g.shape[0]:
             raise ValidationError("basis size must match gram dimension")
         if not np.all(np.isfinite(g)):
             raise ValidationError("gram must be finite")
         if not np.allclose(g, g.T, rtol=0, atol=1e-13 * max(1.0, np.abs(g).max())):
             raise ValidationError("gram must be symmetric")
-        if self.volume_convention not in (VOL_OMEGA, VOL_M_OMEGA):
+        if volume_convention not in (VOL_OMEGA, VOL_M_OMEGA):
             raise ValidationError(
-                f"unknown volume convention {self.volume_convention!r}")
+                f"unknown volume convention {volume_convention!r}")
+        self.__dict__.update(m=m, basis=basis, gram=g,
+                             volume_convention=volume_convention)
 
     @property
     def rank(self) -> int:
@@ -78,8 +92,7 @@ def l2_gram(family_id: str, m: int, metric_id: str = "fs",
     _check_family(family_id)
     if metric_id != "fs":
         raise UnsupportedFamily(f"unsupported metric {metric_id!r}")
-    if m < 1:
-        raise ValidationError("tensor power m must be >= 1")
+    _check_m("tensor power m", m, MAX_GRAM_M)
     return SectionGram(m, p1_basis(m),
                        np.diag(p1_fs_gram_diag(m, volume_convention)),
                        volume_convention)
@@ -104,8 +117,7 @@ def p1_deg_hat_table(m_max: int) -> list:
 
 def p1_deg_hat(m: int, volume_convention: str = VOL_M_OMEGA) -> float:
     """-1/2 log det of the closed-form Gram for one m."""
-    if m < 1:
-        raise ValidationError("tensor power m must be >= 1")
+    _check_m("tensor power m", m, MAX_SCAN_M)
     dh = p1_deg_hat_table(m)[-1]
     if volume_convention != VOL_M_OMEGA:
         dh += 0.5 * (m + 1) * math.log(m)
@@ -159,6 +171,7 @@ def _gram_of_density(mod: np.ndarray, dens: np.ndarray) -> np.ndarray:
 
 def l2_gram_quadrature(geometry: SphereGeometry, m: int,
                        volume_convention: str = VOL_OMEGA) -> SectionGram:
+    _check_m("tensor power m", m, MAX_GRAM_M)
     dens = geometry.weights
     if volume_convention == VOL_M_OMEGA:
         dens = dens * float(m)
@@ -341,19 +354,26 @@ def htilde_c_of_gram(model, g: SectionGram,
 
 # -- scans ---------------------------------------------------------------
 
-@dataclass
-class ScanResult:
-    fitted_constant: float
-    fitted_log_slope: float
-    table: list = field(default_factory=list)
-    columns: tuple = ()
+class ScanResult(FrozenValue):
+    """Fit and table of a scan; unlike the other values, mutable."""
+
+    _fields = ("fitted_constant", "fitted_log_slope", "table", "columns")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, fitted_constant: float, fitted_log_slope: float,
+                 table: list | None = None, columns: tuple = ()):
+        self.fitted_constant = fitted_constant
+        self.fitted_log_slope = fitted_log_slope
+        self.table = [] if table is None else table
+        self.columns = columns
 
 
 def _deg_hat_table(model, m_max: int) -> list:
     """deg_hat(1..m_max) of the model's family, both checks first."""
     _check_family(model.family)
-    if m_max < 1:
-        raise ValidationError("m_max must be >= 1")
+    _check_m("m_max", m_max, MAX_SCAN_M)
     return p1_deg_hat_table(m_max)
 
 

@@ -141,6 +141,18 @@ def _infinite_deg_ln(obj):
     obj["deg_Ln"] = float("inf")
 
 
+def _fractional_fiber_multiplicity(obj):
+    obj["fibers"][0]["fiber_multiplicity"] = 1.5
+
+
+def _float_fiber_prime(obj):
+    obj["fibers"][0]["prime"] = 3.0
+
+
+def _boolean_fiber_multiplicity(obj):
+    obj["fibers"][0]["fiber_multiplicity"] = True
+
+
 @pytest.mark.parametrize("malform, field", [
     (_malform_deg_ln, "deg_Ln"),
     (_drop_k_class, "K_class"),
@@ -164,6 +176,9 @@ def _infinite_deg_ln(obj):
     (_huge_integer_real, "form[K,L]"),
     (_boolean_deg_lk, "deg_LK"),
     (_infinite_deg_ln, "deg_Ln"),
+    (_fractional_fiber_multiplicity, "fibers"),
+    (_float_fiber_prime, "fibers"),
+    (_boolean_fiber_multiplicity, "fibers"),
 ])
 def test_malformed_model_field_exits_2(tmp_path, capsys, malform, field):
     obj = build_p1_fs().to_json()
@@ -441,6 +456,24 @@ def test_grid_over_the_limit_exits_2(capsys):
                           "--grid", "200000"], capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and "grid n_theta = 200000" in err
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["balanced", "--family", "p1-fs", "--m", "100000", "--grid", "16",
+      "--max-iter", "1"], quantize.MAX_GRAM_M),
+    (["balanced", "--family", "p1-fs", "--m", str(quantize.MAX_GRAM_M + 1),
+      "--gram", "missing.json"], quantize.MAX_GRAM_M),
+    (["scan", "--family", "p1-fs", "--m-max", "1000000000"],
+     quantize.MAX_SCAN_M),
+    (["scan", "--family", "p1-fs", "--kind", "hilbert-samuel", "--m-max",
+      str(quantize.MAX_SCAN_M + 1)], quantize.MAX_SCAN_M),
+])
+def test_m_over_the_limit_exits_2(capsys, argv, limit):
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert f"is over the limit of {limit}" in err
 
 
 def test_deterministic_output(tmp_path, capsys):

@@ -51,14 +51,39 @@ EAGER_EXPORTS = {
 NAMES = [n for names in EAGER_EXPORTS.values() for n in names]
 
 
-def _python(code: str) -> subprocess.CompletedProcess:
+def _python(code: str, *flags: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that finds this checkout's package."""
     src = str(Path(heights.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _exact_cli_calls(tmp_path) -> list:
+    """CLI calls that need neither numpy nor mpmath, with their exit codes."""
+    model = tmp_path / "p1.json"
+    heights.build_p1_fs().save(model)
+    bad = tmp_path / "bad.json"
+    obj = heights.build_p1_fs().to_json()
+    obj["form"]["K,L"]["real"] = float("nan")
+    bad.write_text(json.dumps(obj))
+    return [
+        (["compute", "--family", "p1-fs", "--functional", "hk"], 0),
+        (["compute", "--family", "p2-blowup", "--functional", "hk",
+          "--relative-to", "base", "--emit", "json"], 0),
+        (["validate", "--model", str(model)], 0),
+        (["bp", "--weights", "8,15,7", "--prime", "11"], 0),
+        # error paths
+        (["compute", "--family", "nope"], 2),
+        (["bp", "--weights", "4,6,7", "--prime", "5"], 2),
+        (["faltings", "--a-invariants", "0,0,1,-1,0", "--delta-min", "38"],
+         2),
+        (["validate", "--model", str(bad)], 2),
+        (["compute", "--family", "p1-fs", "--functional", "calabi",
+          "--arch-term", "nan"], 2),
+    ]
 
 
 def test_lazy_namespace_keeps_every_name():
@@ -87,26 +112,7 @@ def test_import_heights_loads_no_numpy():
 
 
 def test_exact_cli_calls_load_no_numpy_or_mpmath(tmp_path):
-    model = tmp_path / "p1.json"
-    heights.build_p1_fs().save(model)
-    bad = tmp_path / "bad.json"
-    obj = heights.build_p1_fs().to_json()
-    obj["form"]["K,L"]["real"] = float("nan")
-    bad.write_text(json.dumps(obj))
-    calls = [
-        ["compute", "--family", "p1-fs", "--functional", "hk"],
-        ["compute", "--family", "p2-blowup", "--functional", "hk",
-         "--relative-to", "base", "--emit", "json"],
-        ["validate", "--model", str(model)],
-        ["bp", "--weights", "8,15,7", "--prime", "11"],
-        # error paths
-        ["compute", "--family", "nope"],
-        ["bp", "--weights", "4,6,7", "--prime", "5"],
-        ["faltings", "--a-invariants", "0,0,1,-1,0", "--delta-min", "38"],
-        ["validate", "--model", str(bad)],
-        ["compute", "--family", "p1-fs", "--functional", "calabi",
-         "--arch-term", "nan"],
-    ]
+    calls = [argv for argv, _ in _exact_cli_calls(tmp_path)]
     proc = _python(f"""
 import contextlib, io, json, sys
 import heights.cli
@@ -126,6 +132,29 @@ print(json.dumps([exact, faltings]))
     assert [code for code, _, _ in exact] == [0, 0, 0, 0, 2, 2, 2, 2, 2]
     assert not any(np or mp for _, np, mp in exact), exact
     assert faltings[:2] == [0, False]
+
+
+def test_exact_cli_calls_import_only_what_they_run(tmp_path):
+    # -S: a site .pth file may preload typing into every process; each
+    # call runs in a process of its own, so its modules are its own
+    for argv, want in _exact_cli_calls(tmp_path):
+        proc = _python(f"""
+import contextlib, io, json, sys
+import heights.cli
+
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    code = heights.cli.main({argv!r})
+print(json.dumps([code, sorted(sys.modules)]))
+""", "-S")
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == want, argv
+        assert not {"dataclasses", "inspect", "typing"} & set(modules), argv
+        if argv[0] in ("validate", "bp", "faltings"):
+            assert "heights.functionals" not in modules, argv
+        if argv[:3] == ["compute", "--family", "p1-fs"]:
+            assert "heights.toric" not in modules, argv
 
 
 def test_benchmark_tracer_targets_resolve():

@@ -18,7 +18,8 @@ from heights.intersection import (DivisorClassId, FiberComponent, FormalSum,
                                   form_key)
 from heights.families import _blowup_primitive_form, build_p2_blowup_family
 from heights.functionals import (arakelov_calabi,
-                                 component_twist_derivative, modular_height,
+                                 component_twist_derivative,
+                                 decomposition_check, modular_height,
                                  na_calabi, na_scalar_curvature,
                                  normalized_df, normalized_df_twisted,
                                  relative_modular_height,
@@ -232,6 +233,16 @@ def test_bad_model_json_rejects_composite_prime(tmp_path):
         IntersectionModel.load(p)
 
 
+@pytest.mark.parametrize("label", [3.0, True, "3"])
+def test_model_json_rejects_non_integer_class_prime(label):
+    obj = build_p2_blowup_family((3,)).model.to_json()
+    vertical = [c for c in obj["classes"] if c["kind"] == "vertical"]
+    assert [c["prime"] for c in vertical] == [3]
+    vertical[0]["prime"] = label
+    with pytest.raises(ValidationError, match="model field 'classes'"):
+        IntersectionModel.from_json(obj)
+
+
 @pytest.mark.parametrize("field", ["n", "degree_KQ"])
 def test_model_json_rejects_boolean_integers(field):
     obj = simple_model().to_json()
@@ -257,6 +268,59 @@ def test_twist_by_base_divisor_preserves_hk():
 def test_twist_by_composite_label_rejected():
     with pytest.raises(NonPrimeLabel):
         twist_by_base_divisor(simple_model(), {2: Fraction(1), 6: Fraction(1)})
+
+
+def test_every_public_entry_checks_labels():
+    for make in (
+            lambda: HeightValue(log_terms={2: 1, 9: 1}),
+            lambda: HeightValue.from_json({"const": "1", "logs": {"15": "2"}}),
+            lambda: DivisorClassId("F4", "vertical", 4, "exc"),
+            lambda: DivisorClassId("F", "vertical"),
+            lambda: FiberComponent(21, "fiber", 1, -2),
+            lambda: twist_by_base_divisor(simple_model(), {2: 1, 1: 1})):
+        with pytest.raises(NonPrimeLabel):
+            make()
+
+
+def count_is_prime(monkeypatch) -> list:
+    """Route every module's is_prime through a counter; returns the list
+    that records each checked label."""
+    from heights import families, functionals
+    seen, real_is_prime = [], heightvalue.is_prime
+
+    def counting_is_prime(k):
+        seen.append(k)
+        return real_is_prime(k)
+
+    for module in (heightvalue, intersection, functionals, families):
+        monkeypatch.setattr(module, "is_prime", counting_is_prime)
+    return seen
+
+
+def test_internal_arithmetic_checks_no_labels(monkeypatch):
+    big = 10 ** 9 + 7
+    pair = build_p2_blowup_family((2, 3, big))
+    model, ref = pair.model, pair.ref
+    a = HeightValue(Fraction(1, 3), {big: Fraction(1, 2), 2: 1}, 0.5)
+    b = HeightValue(-1, {3: 2, big: Fraction(-1, 2)})
+    seen = count_is_prime(monkeypatch)
+    s = a + b
+    assert list(s.log_terms) == [2, 3] and s.log_terms[3] == 2
+    assert (b - b).exact_eq(ZERO) and (a - a).log_terms == {}
+    assert (-a).log_terms == {2: -1, big: Fraction(-1, 2)}
+    assert a.scale(0).log_terms == {} and list((3 * b).log_terms) == [3, big]
+    assert b.shift_real(0.0).real_exact and not b.shift_real(1.0).real_exact
+    assert sum([a, b]) == s
+    form_value = model.form.pair(model.L(), model.L(), model.K())
+    assert list(form_value.log_terms) == sorted(form_value.log_terms)
+    lhs, rhs = decomposition_check(pair)
+    assert lhs.exact_eq(rhs)
+    relative_modular_height(model, ref)
+    rescale_metric_const(model, 0.25)
+    assert seen == []
+    # the public constructor still checks every label it is given
+    HeightValue(log_terms={big: 1})
+    assert seen == [big]
 
 
 def test_rescale_metric_const_preserves_hk():

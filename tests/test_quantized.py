@@ -1,7 +1,6 @@
 """Section Grams, Chow heights, balanced iteration, scans."""
 
 import copy
-import dataclasses
 import math
 import re
 import tracemalloc
@@ -240,6 +239,30 @@ def test_quantized_side_allocates_no_rank_by_grid_arrays():
     assert runs[0][1] == 3
 
 
+def test_m_over_the_limit_allocates_nothing():
+    # each would ask for gigabytes (a 74.5 GiB Gram at m 100000); the
+    # refusal comes first
+    too_big = [lambda: l2_gram("p1-fs", 100_000, "fs", "m-omega"),
+               lambda: l2_gram("p1-fs", quantize.MAX_GRAM_M + 1),
+               lambda: l2_gram_quadrature(GEOM, quantize.MAX_GRAM_M + 1),
+               lambda: dequantization_scan(MODEL, 10 ** 9),
+               lambda: hilbert_samuel_residual(MODEL, quantize.MAX_SCAN_M + 1),
+               lambda: p1_deg_hat(quantize.MAX_SCAN_M + 1)]
+    tracemalloc.start()
+    try:
+        for bad in too_big:
+            with pytest.raises(ValidationError, match="over the limit of"):
+                bad()
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    # the sizes at the limits are admitted
+    assert l2_gram("p1-fs", quantize.MAX_GRAM_M).rank == \
+        quantize.MAX_GRAM_M + 1
+    assert len(p1_deg_hat_table(quantize.MAX_SCAN_M)) == quantize.MAX_SCAN_M
+    p1_deg_hat(quantize.MAX_SCAN_M)
+
+
 def test_fs_density_rejects_nan_and_overflow():
     # H^{-1} = diag(1e300, 1) overflows Phi |Dv|^2 to a NaN rho
     with pytest.raises(NonPositiveDefinite):
@@ -395,14 +418,14 @@ def test_every_family_id_has_closed_forms():
     # fails this test instead of running the P^1 ones
     for family_id in FAMILY_GEOMETRY:
         assert l2_gram(family_id, 3, "fs", "m-omega").rank == 4
-        model = dataclasses.replace(MODEL, family=family_id)
+        model = MODEL.replace_form({}, family=family_id)
         assert len(dequantization_scan(model, 10).table) == 10
         assert len(hilbert_samuel_residual(model, 10)) == 10
     known = f"known: {sorted(FAMILY_GEOMETRY)}"
     for family_id in ("p1", None):
         with pytest.raises(UnsupportedFamily, match=re.escape(known)):
             l2_gram(family_id, 3, "fs", "m-omega")
-    untagged = dataclasses.replace(MODEL, family=None)
+    untagged = MODEL.replace_form({}, family=None)
     for scan in (dequantization_scan, hilbert_samuel_residual):
         with pytest.raises(UnsupportedFamily,
                            match="no closed-form providers for family None"):
