@@ -12,26 +12,24 @@ import numpy as np
 
 from .errors import ArityMismatch, GeometryMismatch, ValidationError
 from .functionals import model_beta
-from .intersection import FAMILY_GEOMETRY, form_key
+from .intersection import (FAMILY_GEOMETRY, ModelPair, SymmetricForm,
+                           form_key)
 from .potentials import PotentialField, ricci_of_log
 
 
 def am_energy(phi: PotentialField) -> float:
     """(1/V) * sum_{i=0..n} int phi omega^i omega_phi^{n-i} (n = 1)."""
-    g = phi.geometry
-    return g.quad(phi.samples * (1.0 + phi.omega_phi)) / g.V
+    return phi.int_phi_mixed / phi.geometry.V
 
 
 def ricci_energy(phi: PotentialField) -> float:
     """(1/V) * sum_{i=0..n-1} int phi Ric(omega) omega^i omega_phi^{n-1-i}."""
-    g = phi.geometry
-    return g.quad(phi.samples * g.ric) / g.V
+    return phi.int_phi_ric / phi.geometry.V
 
 
 def entropy(phi: PotentialField) -> float:
     """int log(omega_phi^n / omega^n) omega_phi^n."""
-    g = phi.geometry
-    return g.quad(phi.log_omega * phi.omega_phi)
+    return phi.int_log_omega_phi
 
 
 def k_energy(phi: PotentialField, Sbar: float | None = None) -> float:
@@ -44,15 +42,13 @@ def k_energy(phi: PotentialField, Sbar: float | None = None) -> float:
 
 
 def aubin_i(phi: PotentialField) -> float:
-    g = phi.geometry
-    return g.quad(phi.samples * (1.0 - phi.omega_phi)) / g.V
+    return phi.int_phi_aubin / phi.geometry.V
 
 
 def aubin_j(phi: PotentialField) -> float:
     g = phi.geometry
     n = 1
-    mixed = g.quad(phi.samples * (1.0 + phi.omega_phi))
-    return g.quad(phi.samples) / g.V - mixed / ((n + 1) * g.V)
+    return phi.int_phi / g.V - phi.int_phi_mixed / ((n + 1) * g.V)
 
 
 def bott_chern_delta(phi: PotentialField, curvature_forms) -> float:
@@ -102,14 +98,9 @@ def apply_metric_change(model, phi: PotentialField):
     beta = float(model_beta(model))
     Lk = model.L_class
     Kk = model.K_class
-    log_ratio = phi.log_omega
-    ric0 = g.ric
-    ric_phi = phi.ricci
-    dA = beta * g.quad(phi.samples * (1.0 + phi.omega_phi))
-    dB = beta * (g.quad(phi.samples * (-ric0))
-                 + g.quad(log_ratio * phi.omega_phi))
-    dC = beta * (g.quad(log_ratio * (-ric0))
-                 + g.quad(log_ratio * (-ric_phi)))
+    dA = beta * phi.int_phi_mixed
+    dB = beta * (-phi.int_phi_ric + phi.int_log_omega_phi)
+    dC = beta * (-phi.int_log_ric - phi.int_log_ricci)
     f = model.form.entries
     return model.replace_form({
         form_key((Lk, Lk)): f[form_key((Lk, Lk))].shift_real(dA),
@@ -124,31 +115,24 @@ def metric_model_pair(model, phi: PotentialField):
     The joint form realizes p*L - q*L_ref as the metric-difference class:
     one slot of the difference contributes beta * int(potential * wedge).
     """
-    from .intersection import (DivisorClassId, ModelPair, SymmetricForm)
-
-    g = phi.geometry
     changed = apply_metric_change(model, phi)
     beta = float(model_beta(model))
-    log_ratio = phi.log_omega
-    ric0 = g.ric
     Lk, Kk = model.L_class, model.K_class
     L0, K0 = Lk + "_ref", Kk + "_ref"
     f0, f1 = model.form.entries, changed.form.entries
     A0 = f0[form_key((Lk, Lk))]
     B0 = f0[form_key((Lk, Kk))]
     C0 = f0[form_key((Kk, Kk))]
-    q = g.quad
-    s = phi.samples
     entries = {
         (L0, L0): A0,
         (L0, K0): B0,
         (K0, K0): C0,
         (Lk, Lk): f1[form_key((Lk, Lk))],
-        (Lk, L0): A0.shift_real(beta * q(s * 1.0)),
+        (Lk, L0): A0.shift_real(beta * phi.int_phi),
         (Lk, Kk): f1[form_key((Lk, Kk))],
-        (Lk, K0): B0.shift_real(beta * q(s * (-ric0))),
-        (L0, Kk): B0.shift_real(beta * q(log_ratio * 1.0)),
-        (Kk, K0): C0.shift_real(beta * q(log_ratio * (-ric0))),
+        (Lk, K0): B0.shift_real(beta * -phi.int_phi_ric),
+        (L0, Kk): B0.shift_real(beta * phi.int_log),
+        (Kk, K0): C0.shift_real(beta * -phi.int_log_ric),
         (Kk, Kk): f1[form_key((Kk, Kk))],
     }
     joint = SymmetricForm(2, entries)

@@ -158,31 +158,49 @@ class SphereGeometry:
         # (i/2pi) del delbar u has density Delta_{S^2} u w.r.t. dA/(4pi)
         return self.laplacian(u)
 
+    def _harmonic_array(self, coeffs: dict) -> np.ndarray:
+        """coeffs of synth_harmonics as an array [m, re/im, l - m]."""
+        cap = max((l for l, _ in coeffs), default=0)
+        if cap > self.lmax or any(abs(m) > l for l, m in coeffs):
+            raise ValidationError("harmonic index beyond grid band limit")
+        a = np.zeros((cap + 1, 2, cap + 1))
+        for (l, m), c in coeffs.items():
+            a[abs(m), int(m < 0), l - abs(m)] += c if m >= 0 else -c
+        return a
+
     def synth_harmonics(self, coeffs: dict) -> np.ndarray:
         """Sum of real spherical harmonics; coeffs maps (l, m) -> float
         with 0 <= m <= l (cos branch for m >= 0 keyed (l, m), sin branch
         keyed (l, -m))."""
-        cap = max((l for l, _ in coeffs), default=0)
-        if cap > self.lmax or any(abs(m) > l for l, m in coeffs):
-            raise ValidationError("harmonic index beyond grid band limit")
-        a = np.zeros((cap + 1, 2, cap + 1))        # [m, re/im, l - m]
-        for (l, m), c in coeffs.items():
-            a[abs(m), int(m < 0), l - abs(m)] += c if m >= 0 else -c
-        out = np.zeros((self.n_theta, self.n_psi // 2 + 1), complex)
-        grid = out.view(float).reshape(self.n_theta, -1, 2)
-        for m0, even, odd in self._legendre_chunks(cap):
-            rows = a[m0:m0 + even.shape[0], :, :cap - m0 + 1]
-            self._synthesize(grid, m0, even, odd, rows[..., 0::2],
-                             rows[..., 1::2])
-        # irfft counts every order m > 0 twice, once for +m and once for -m
-        out[:, 1:] /= 2.0
-        return np.fft.irfft(out * self.n_psi, n=self.n_psi, axis=1)
+        return self._synth_fields(self._harmonic_array(coeffs)[None])[0]
 
-    def random_potential(self, rng) -> np.ndarray:
-        """Unscaled random field of degrees 1..12 (see PotentialField.random)."""
-        return self.synth_harmonics({(l, m): rng.normal() / (1.0 + l) ** 2
-                                     for l in range(1, 13)
-                                     for m in range(-l, l + 1)})
+    def _synth_fields(self, a: np.ndarray) -> np.ndarray:
+        """Fields a[f] ([m, re/im, l - m], as in synth_harmonics) from one
+        Legendre pass at their common degree cap and one batched irfft."""
+        cap = a.shape[-1] - 1
+        out = np.zeros((len(a), self.n_theta, self.n_psi // 2 + 1), complex)
+        grids = out.view(float).reshape(len(a), self.n_theta, -1, 2)
+        for m0, even, odd in self._legendre_chunks(cap):
+            for grid, field in zip(grids, a):
+                rows = field[m0:m0 + even.shape[0], :, :cap - m0 + 1]
+                self._synthesize(grid, m0, even, odd, rows[..., 0::2],
+                                 rows[..., 1::2])
+        # irfft counts every order m > 0 twice, once for +m and once for -m
+        out[..., 1:] /= 2.0
+        return np.fft.irfft(out * self.n_psi, n=self.n_psi, axis=-1)
+
+    def random_potential(self, rng) -> tuple[np.ndarray, np.ndarray]:
+        """Unscaled random field of degrees 1..12 and its ddc (see
+        PotentialField.random).  Harmonics are eigenfunctions, so ddc is
+        the synthesis of -l(l+1) c: no transform is taken."""
+        a = self._harmonic_array({(l, m): rng.normal() / (1.0 + l) ** 2
+                                  for l in range(1, 13)
+                                  for m in range(-l, l + 1)})
+        k = np.arange(len(a))
+        l = k[:, None] + k                              # [m, l - m]
+        samples, ddc = self._synth_fields(
+            np.stack([a, -(l * (l + 1.0))[:, None, :] * a]))
+        return samples, ddc
 
     # affine coordinate |z| = tan(theta/2) for section evaluation
     def log_t2(self) -> np.ndarray:
@@ -215,6 +233,9 @@ class TorusGeometry:
         # z = x + tau y
         self._lap_mult = -4.0 * np.pi ** 2 * (
             kk ** 2 + ((ll - kk * tau.real) / tau.imag) ** 2)
+        # (i/2pi) del delbar u = (1/4pi) Delta_flat u dA; relative to
+        # mu_ref of mass V over area Im(tau) this is (Im tau/(4 pi V)) Delta u
+        self._ddc_factor = tau.imag / (4.0 * np.pi * self.V)
         self.default_Sbar = 0.0
         self.ric = np.zeros(self.shape)
 
@@ -226,12 +247,11 @@ class TorusGeometry:
         return np.fft.ifft2(F * self._lap_mult).real
 
     def ddc(self, u: np.ndarray) -> np.ndarray:
-        # (i/2pi) del delbar u = (1/4pi) Delta_flat u dA; relative to
-        # mu_ref of mass V over area Im(tau) this is (Im tau/(4 pi V)) Delta u
-        return (self.tau.imag / (4.0 * np.pi * self.V)) * self.laplacian(u)
+        return self._ddc_factor * self.laplacian(u)
 
-    def random_potential(self, rng) -> np.ndarray:
-        """Unscaled random trigonometric field of bandwidth 6."""
+    def random_potential(self, rng) -> tuple[np.ndarray, np.ndarray]:
+        """Unscaled random trigonometric field of bandwidth 6 and its ddc,
+        both from one batched ifft2 of the drawn spectrum."""
         # c cos(t) + s sin(t) = Re((c - i s) e^{i t}); a wave number k
         # lands on the grid's k mod n mode, as it aliases there anyway
         spec = np.zeros(self.shape, complex)
@@ -242,7 +262,13 @@ class TorusGeometry:
                 c = rng.normal() / (1.0 + k * k + l * l)
                 s = rng.normal() / (1.0 + k * k + l * l)
                 spec[k % self.n, l % self.n] += c - 1j * s
-        return np.fft.ifft2(spec, norm="forward").real
+        # the real part keeps the even part of the multiplier, which
+        # differs from it only on an even grid's Nyquist row and column
+        mult = self._lap_mult
+        mult = 0.5 * self._ddc_factor * (
+            mult + np.roll(mult[::-1, ::-1], 1, axis=(0, 1)))
+        fields = np.fft.ifft2(np.stack([spec, spec * mult]), norm="forward")
+        return fields[0].real, fields[1].real
 
 
 def make_geometry(kind: str, **kw):

@@ -123,6 +123,15 @@ class SymmetricForm:
                 raise ValidationError(
                     f"form key {k} has size {len(k)}, expected {arity}")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.arity == other.arity and self.entries == other.entries
+
+    # entries is a dict of unhashable HeightValues, so a form (and every
+    # model or pair holding one) is unhashable too
+    __hash__ = None
+
     def value(self, key: Sequence[str]) -> HeightValue:
         k = form_key(key)
         if k not in self.entries:

@@ -21,9 +21,10 @@ class PotentialField:
     """Samples of phi plus the derived omega_phi relative density.
 
     omega_phi = 1 + ddc(phi) must stay strictly positive; violations
-    abort instead of clipping.  log_omega and ricci are computed on first
-    use and kept, so samples must not be changed in place (use scale or +,
-    which build a new field).
+    abort instead of clipping.  log_omega, ricci and the quadratures that
+    the energies and the metric change read are computed on first use and
+    kept, so samples must not be changed in place (use scale or +, which
+    build a new field).
     """
 
     def __init__(self, geometry, samples, _ddc=None):
@@ -50,6 +51,48 @@ class PotentialField:
         """Ric(omega_phi) relative density in c1 units."""
         return ricci_of_log(self.geometry, self.log_omega)
 
+    # -- quadratures against mu_ref (n = 1) ---------------------------
+
+    @cached_property
+    def int_phi(self) -> float:
+        """int phi."""
+        return self.geometry.quad(self.samples)
+
+    @cached_property
+    def int_phi_mixed(self) -> float:
+        """int phi (omega + omega_phi)."""
+        return self.geometry.quad(self.samples * (1.0 + self.omega_phi))
+
+    @cached_property
+    def int_phi_aubin(self) -> float:
+        """int phi (omega - omega_phi)."""
+        return self.geometry.quad(self.samples * (1.0 - self.omega_phi))
+
+    @cached_property
+    def int_phi_ric(self) -> float:
+        """int phi Ric(omega)."""
+        return self.geometry.quad(self.samples * self.geometry.ric)
+
+    @cached_property
+    def int_log(self) -> float:
+        """int log(omega_phi / omega)."""
+        return self.geometry.quad(self.log_omega)
+
+    @cached_property
+    def int_log_omega_phi(self) -> float:
+        """int log(omega_phi / omega) omega_phi, the entropy."""
+        return self.geometry.quad(self.log_omega * self.omega_phi)
+
+    @cached_property
+    def int_log_ric(self) -> float:
+        """int log(omega_phi / omega) Ric(omega)."""
+        return self.geometry.quad(self.log_omega * self.geometry.ric)
+
+    @cached_property
+    def int_log_ricci(self) -> float:
+        """int log(omega_phi / omega) Ric(omega_phi)."""
+        return self.geometry.quad(self.log_omega * self.ricci)
+
     @staticmethod
     def constant(geometry, c: float) -> "PotentialField":
         z = np.full(geometry.shape, float(c))
@@ -64,9 +107,9 @@ class PotentialField:
     @staticmethod
     def random(geometry, seed: int) -> "PotentialField":
         """Seeded random potential scaled to max|ddc phi| = 0.4, so that
-        omega_phi >= 0.6; one ddc transform serves scale and field."""
-        samples = geometry.random_potential(np.random.default_rng(seed))
-        ddc = geometry.ddc(samples)
+        omega_phi >= 0.6.  The geometry draws the band-limited field and
+        its ddc from the same coefficients, with no transform."""
+        samples, ddc = geometry.random_potential(np.random.default_rng(seed))
         s = 0.4 / max(np.max(np.abs(ddc)), 1e-30)
         return PotentialField(geometry, s * samples, _ddc=s * ddc)
 

@@ -58,6 +58,15 @@ class SectionGram(FrozenValue):
         self.__dict__.update(m=m, basis=basis, gram=g,
                              volume_convention=volume_convention)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m == other.m and self.basis == other.basis
+                and np.array_equal(self.gram, other.gram)
+                and self.volume_convention == other.volume_convention)
+
+    __hash__ = None     # gram is an array
+
     @property
     def rank(self) -> int:
         return self.gram.shape[0]

@@ -15,7 +15,8 @@ from heights.energies import (am_energy, apply_metric_change, aubin_i,
 from heights.errors import (ArityMismatch, GeometryMismatch, NonKahler,
                             ValidationError)
 from heights.families import build_p1_fs
-from heights.functionals import (decomposition_check, model_beta,
+from heights.functionals import (aubin_I_rel, aubin_J_rel,
+                                  decomposition_check, model_beta,
                                   modular_height)
 from heights.geometry import (MAX_GRID, SphereGeometry, TorusGeometry,
                               make_geometry)
@@ -198,10 +199,11 @@ def test_legendre_values_kept_only_up_to_grid_256():
 
 
 def torus_random_reference(g, rng):
-    """Reference torus random field: each cos/sin pair over the grid."""
+    """Reference torus random field and its ddc: each cos/sin pair over
+    the grid, times the flat multiplier of its wave number."""
     x = np.arange(g.n) / g.n
     xx, yy = np.meshgrid(x, x, indexing="ij")
-    f = np.zeros(g.shape)
+    f, d = np.zeros(g.shape), np.zeros(g.shape)
     for k in range(-6, 7):
         for l in range(-6, 7):
             if k == 0 and l == 0:
@@ -209,22 +211,53 @@ def torus_random_reference(g, rng):
             c = rng.normal() / (1.0 + k * k + l * l)
             s = rng.normal() / (1.0 + k * k + l * l)
             ang = 2.0 * np.pi * (k * xx + l * yy)
-            f += c * np.cos(ang) + s * np.sin(ang)
-    return f
+            wave = c * np.cos(ang) + s * np.sin(ang)
+            f += wave
+            d += -np.pi * (k * k + ((l - k * g.tau.real) / g.tau.imag) ** 2) \
+                * g.tau.imag / g.V * wave
+    return f, d
 
 
-@pytest.mark.parametrize("n", [8, 32, 64])
+def sphere_random_reference(g, rng):
+    """Reference sphere random field and its ddc: each harmonic c Y_lm
+    and -l(l+1) c Y_lm from the reference blocks."""
+    blocks = [legendre_block_reference(g, m) for m in range(13)]
+    f, d = np.zeros(g.shape), np.zeros(g.shape)
+    for l in range(1, 13):
+        for m in range(-l, l + 1):
+            c = rng.normal() / (1.0 + l) ** 2
+            ang = np.cos(m * g.psi) if m >= 0 else np.sin(-m * g.psi)
+            wave = c * np.outer(blocks[abs(m)][l - abs(m)], ang)
+            f += wave
+            d += -l * (l + 1.0) * wave
+    return f, d
+
+
+@pytest.mark.parametrize("n", [8, 9, 32, 64])
 def test_torus_random_potential_matches_loop(n):
-    # n < 13 aliases wave numbers on the grid, the same way for both
+    # n < 13 aliases wave numbers on the grid, the same way for both; an
+    # even n puts aliased waves on the Nyquist row, where the multiplier
+    # of a sheared torus is not even, so the ddc is checked against the
+    # grid Laplacian of the samples
     g = TorusGeometry(0.3 + 1j, n=n, degree=2)
-    want = torus_random_reference(g, np.random.default_rng(5))
-    got = g.random_potential(np.random.default_rng(5))
+    want, _ = torus_random_reference(g, np.random.default_rng(5))
+    got, ddc = g.random_potential(np.random.default_rng(5))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    lap = g.ddc(got)
+    assert np.max(np.abs(ddc - lap)) <= 1e-13 * np.max(np.abs(lap))
 
 
-@pytest.mark.parametrize("geometry", [SPHERE, TorusGeometry(0.3 + 1j, n=32,
-                                                            degree=2)])
-def test_random_potential_takes_one_transform(geometry, monkeypatch):
+# (geometry, bound on the stored ddc against the transform of the
+# samples): the sphere transform carries the leggauss weight error,
+# lifted by l(l+1), and the torus FFT is exact to rounding
+NO_TRANSFORM_CASES = [(SPHERE, 1e-8), (SphereGeometry(512), 1e-6),
+                      (TorusGeometry(0.3 + 1j, n=32, degree=2), 1e-13)]
+
+
+@pytest.mark.parametrize("geometry, transform_err", NO_TRANSFORM_CASES,
+                         ids=["sphere128", "sphere512", "torus32"])
+def test_random_potential_takes_no_transform(geometry, transform_err,
+                                             monkeypatch):
     # both geometries take ddc through laplacian, so this counts every
     # transform, including any taken inside random_potential
     calls = []
@@ -232,10 +265,18 @@ def test_random_potential_takes_one_transform(geometry, monkeypatch):
     monkeypatch.setattr(geometry, "laplacian",
                         lambda u: calls.append(1) or laplacian(u))
     phi = PotentialField.random(geometry, 6)
-    assert len(calls) == 1
+    assert len(calls) == 0
     peak = np.max(np.abs(phi.ddc))
     assert peak == pytest.approx(0.4, rel=1e-15)
-    assert np.max(np.abs(phi.ddc - geometry.ddc(phi.samples))) <= 1e-12 * peak
+    reference = (sphere_random_reference if geometry.kind == "sphere"
+                 else torus_random_reference)
+    f, d = reference(geometry, np.random.default_rng(6))
+    s = 0.4 / np.max(np.abs(d))
+    assert np.max(np.abs(phi.ddc - s * d)) <= 1e-12 * peak
+    assert np.max(np.abs(phi.samples - s * f)) <= \
+        1e-12 * np.max(np.abs(phi.samples))
+    lap = geometry.ddc(phi.samples)
+    assert np.max(np.abs(phi.ddc - lap)) <= transform_err * peak
 
 
 def test_ddc_integrates_to_zero():
@@ -266,6 +307,37 @@ def test_k_energy_vanishes_on_constants():
     assert abs(k_energy(c)) < 1e-12
     assert abs(am_energy(c) - 2 * 0.7) < 1e-12    # E(const c) = 2c, n = 1
     assert abs(entropy(c)) < 1e-14
+
+
+# (n_theta, lower and upper bound on the relative entropy error, bound on
+# the transform's ddc error): Gauss-Legendre converges geometrically on
+# the smooth, non-polynomial u log u, so the error falls from 4.9e-5 at
+# n 4 to rounding by n 16; the transform's ddc carries the leggauss
+# weight error, lifted by l(l+1) = 2 (measured 1.6e-8 at 128, 3.3e-6 at
+# 512)
+ENTROPY_GRIDS = [(4, 1e-5, 1e-4, 1e-14), (8, 1e-10, 1e-8, 1e-12),
+                 (16, 0.0, 1e-13, 1e-11), (32, 0.0, 1e-13, 1e-10),
+                 (64, 0.0, 1e-13, 1e-9), (128, 0.0, 1e-13, 1e-7),
+                 (256, 0.0, 1e-13, 1e-6), (512, 0.0, 1e-13, 1e-5)]
+
+
+@pytest.mark.parametrize("n, lo, hi, ddc_err", ENTROPY_GRIDS)
+def test_entropy_matches_continuum_closed_form(n, lo, hi, ddc_err):
+    # phi = eps cos(theta) has ddc phi = -2 eps cos(theta), so with
+    # u = omega_phi = 1 - 2 eps x and dmu = dx/2 the entropy is
+    # (1/4 eps) int u log u du from 1 - 2 eps to 1 + 2 eps
+    eps = 0.3
+    g = SphereGeometry(n)
+    x = np.repeat(g.x[:, None], g.n_psi, axis=1)
+    phi = PotentialField(g, eps * x, _ddc=-2.0 * eps * x)
+
+    def prim(u):
+        return u * u * (2.0 * math.log(u) - 1.0) / 4.0
+
+    want = (prim(1.0 + 2.0 * eps) - prim(1.0 - 2.0 * eps)) / (4.0 * eps)
+    err = abs(entropy(phi) - want) / want
+    assert lo <= err <= hi
+    assert np.max(np.abs(g.ddc(phi.samples) - phi.ddc)) <= ddc_err
 
 
 def test_aubin_chain_quadrature():
@@ -311,18 +383,34 @@ FIELD_CASES = [(SPHERE, build_p1_fs()),
                (TorusGeometry(0.3 + 1j, n=32, degree=2), torus_model(2))]
 
 
+INTEGRALS = ("int_phi", "int_phi_mixed", "int_phi_aubin", "int_phi_ric",
+             "int_log", "int_log_omega_phi", "int_log_ric", "int_log_ricci")
+
+
 @pytest.mark.parametrize("geometry, model", FIELD_CASES)
 def test_metric_change_takes_one_ricci_transform(geometry, model,
                                                  monkeypatch):
-    phi = PotentialField.random(geometry, 8)
-    calls = []
-    laplacian = geometry.laplacian
+    # the chain of a benchmark job: the field's ddc comes from its
+    # coefficients and its Ricci curvature from one transform, and every
+    # quadrature is a distinct integral taken once
+    transforms, quads = [], []
+    laplacian, quad = geometry.laplacian, geometry.quad
     monkeypatch.setattr(geometry, "laplacian",
-                        lambda u: calls.append(1) or laplacian(u))
-    apply_metric_change(model, phi)
-    metric_model_pair(model, phi)
+                        lambda u: transforms.append(1) or laplacian(u))
+    monkeypatch.setattr(geometry, "quad",
+                        lambda f: quads.append(1) or quad(f))
+    phi = PotentialField.random(geometry, 3)
+    changed = apply_metric_change(model, phi)
+    dh = (modular_height(changed) - modular_height(model)).evaluate()
+    mu = float(model.deg_Ln) / model.degree_KQ * k_energy(phi)
+    assert dh == pytest.approx(mu, rel=1e-12, abs=1e-14)
+    pair = metric_model_pair(model, phi)
+    decomposition_check(pair)
+    aubin_I_rel(pair), aubin_J_rel(pair), aubin_i(phi), aubin_j(phi)
     k_energy(phi)
-    assert len(calls) == 1
+    assert len(transforms) == 1
+    assert len(quads) == len(INTEGRALS)
+    assert set(INTEGRALS) <= set(vars(phi))
 
 
 @pytest.mark.parametrize("geometry, model", FIELD_CASES)
@@ -349,10 +437,24 @@ def test_cached_ricci_equals_explicit_path(geometry, model):
         key = form_key(pair)
         assert changed.form.entries[key] == \
             model.form.entries[key].shift_real(shift)
+    joint = metric_model_pair(model, phi).joint_form.entries
+    L0, K0 = Lk + "_ref", Kk + "_ref"
+    mixed = {
+        (Lk, L0): ((Lk, Lk), beta * g.quad(phi.samples * 1.0)),
+        (Lk, K0): ((Lk, Kk), beta * g.quad(phi.samples * (-g.ric))),
+        (L0, Kk): ((Lk, Kk), beta * g.quad(log_ratio * 1.0)),
+        (Kk, K0): ((Kk, Kk), beta * g.quad(log_ratio * (-g.ric))),
+    }
+    for pair, (base, shift) in mixed.items():
+        assert joint[form_key(pair)] == \
+            model.form.entries[form_key(base)].shift_real(shift)
     ent = g.quad(log_ratio * phi.omega_phi)
     assert entropy(phi) == ent
     assert k_energy(phi) == (g.default_Sbar / 2) * am_energy(phi) \
         - g.quad(phi.samples * g.ric) / g.V + ent / g.V
+    assert aubin_i(phi) == g.quad(phi.samples * (1.0 - phi.omega_phi)) / g.V
+    assert aubin_j(phi) == g.quad(phi.samples) / g.V \
+        - g.quad(phi.samples * (1.0 + phi.omega_phi)) / (2 * g.V)
 
 
 def test_derived_fields_start_empty():
@@ -360,10 +462,15 @@ def test_derived_fields_start_empty():
     a = PotentialField.random(SPHERE, 1)
     b = PotentialField.random(SPHERE, 2)
     assert a.ricci is a.ricci and b.ricci is b.ricci    # kept once computed
-    for phi in (a + b, a.scale(0.5)):
-        assert "log_omega" not in vars(phi) and "ricci" not in vars(phi)
+    k_energy(a), aubin_i(a), aubin_j(a), metric_model_pair(build_p1_fs(), a)
+    assert set(INTEGRALS) <= set(vars(a))
+    c = PotentialField.constant(SPHERE, 0.3)
+    for phi in (a + b, a.scale(0.5), c):
+        assert not {"log_omega", "ricci", *INTEGRALS} & set(vars(phi))
         assert np.array_equal(phi.ricci, ricci_density(SPHERE,
                                                        phi.omega_phi))
+    assert entropy(a.scale(0.5)) == \
+        SPHERE.quad(np.log(1.0 + 0.5 * a.ddc) * (1.0 + 0.5 * a.ddc))
 
 
 def test_apply_metric_change_geometry_guard():

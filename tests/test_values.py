@@ -11,8 +11,9 @@ from heights.families import (BrieskornPhamSpec, EllipticCurveData,
                               build_p1_fs, build_p2_blowup_family)
 from heights.heightvalue import HeightValue
 from heights.intersection import (DivisorClassId, FiberComponent,
-                                  IntersectionModel, ModelPair)
-from heights.quantize import ScanResult, SectionGram
+                                  IntersectionModel, ModelPair,
+                                  SymmetricForm)
+from heights.quantize import ScanResult, SectionGram, l2_gram
 
 P1 = build_p1_fs()
 PAIR = build_p2_blowup_family((2,))
@@ -61,22 +62,11 @@ HASHABLE = (DivisorClassId, FiberComponent, BrieskornPhamSpec,
             EllipticCurveData)
 
 
-def _same(a, b):
-    """== by value; SectionGram holds an array, so compare its fields."""
-    if isinstance(a, SectionGram):
-        return (type(b) is SectionGram and a.m == b.m and a.basis == b.basis
-                and np.array_equal(a.gram, b.gram)
-                and a.volume_convention == b.volume_convention)
-    return a == b
-
-
 @pytest.mark.parametrize("cls, args, kwargs, other", CASES, ids=IDS)
 def test_positional_and_keyword_construction_agree(cls, args, kwargs, other):
     a, b, c = cls(*args), cls(**kwargs), cls(*other)
-    assert _same(a, b) and not _same(a, c)
-    if cls is not SectionGram:
-        assert a == b and not a != b
-        assert a != c and not a == c
+    assert a == b and not a != b
+    assert a != c and not a == c
     assert a != object() and a != args and not a == repr(a)
     assert (a == object()) is False
 
@@ -113,25 +103,45 @@ def test_assignment_and_deletion(cls, args, kwargs, other):
     assert repr(a) == before
 
 
-def _content(v):
-    """A copy's content: SymmetricForm compares by identity, so models and
-    pairs are compared through their JSON and form entries."""
-    if isinstance(v, IntersectionModel):
-        return v.to_json()
-    if isinstance(v, ModelPair):
-        return (v.model.to_json(), v.ref.to_json(), v.joint_form.entries,
-                v.model_map, v.ref_map)
-    return v
-
-
 @pytest.mark.parametrize("cls, args, kwargs, other", CASES, ids=IDS)
 def test_pickle_and_deepcopy_round_trip(cls, args, kwargs, other):
     a = cls(*args)
     for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
-        assert type(b) is cls and _same(_content(a), _content(b))
+        assert type(b) is cls and b == a
         if cls is not ScanResult:
             with pytest.raises(AttributeError):
                 setattr(b, next(iter(kwargs)), None)
+
+
+def test_grams_compare_by_value():
+    # the Gram is an array: == compares it whole, not element by element
+    a, b = l2_gram("p1-fs", 2), l2_gram("p1-fs", 2)
+    assert a == b and not a != b
+    assert a != l2_gram("p1-fs", 3)     # another shape
+    assert a != l2_gram("p1-fs", 2, "fs", "m-omega")
+    assert a != SectionGram(2, a.basis, a.gram * 1.5, a.volume_convention)
+    assert a != SectionGram(2, ("a", "b", "c"), a.gram, a.volume_convention)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
+def test_forms_and_models_compare_by_value():
+    # a form compares by arity and entries; models and pairs compare
+    # through it.  Entries hold HeightValues with dicts, so forms, models
+    # and pairs stay unhashable
+    m = build_p1_fs()
+    assert m.form == build_p1_fs().form and m.form is not build_p1_fs().form
+    assert m == build_p1_fs() and copy.deepcopy(m) == m
+    assert PAIR == build_p2_blowup_family((2,))
+    assert PAIR != build_p2_blowup_family((3,))
+    shifted = m.replace_form({("L", "L"): m.form.value(("L", "L"))
+                              .shift_real(1e-300)})
+    assert shifted != m and shifted.form != m.form
+    assert SymmetricForm(2, {}) != SymmetricForm(3, {})
+    assert SymmetricForm(2, {}) != {} and m.form != m.form.entries
+    for value in (m.form, m, PAIR):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
 
 
 def test_repr_is_the_dataclass_repr():
