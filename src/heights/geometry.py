@@ -22,12 +22,22 @@ from .errors import ValidationError
 # n <= MAX_GRID, checked before anything is allocated (leggauss(4096)
 # alone takes ~4.6 s and ~290 MB; the weight grid is n_theta x n_psi)
 MAX_GRID = 4096
+# degrees k = l - m per block of the Legendre recurrence: its buffer holds
+# _BLOCK + 2 rows of 16 orders by n_theta / 2 nodes (8.5 MB at n_theta 512)
+_BLOCK = 256
 
 
 def _check_size(name: str, size: int, cap: int) -> None:
     if size > cap:
         raise ValidationError(f"grid {name} = {size} is over the limit "
                               f"of {cap}")
+
+
+def _parities(P, k0: int, nk: int):
+    """The even-k and odd-k rows of the nk degrees k0.. held in rows 2..
+    of a recurrence block P, each as [order, i, node]."""
+    return (P[2 + k0 % 2:nk + 2:2].transpose(1, 0, 2),
+            P[2 + (k0 + 1) % 2:nk + 2:2].transpose(1, 0, 2))
 
 
 class SphereGeometry:
@@ -55,7 +65,8 @@ class SphereGeometry:
         self.lmax = min(self.n_theta - 1, self.n_psi // 2 - 1)
         self.shape = (self.n_theta, self.n_psi)
         self.default_Sbar = 2.0
-        self.ric = 2.0 * np.ones(self.shape)
+        # read-only stride-0 views, like TorusGeometry.ric
+        self.ric = np.broadcast_to(2.0, self.shape)
         # P_l^m(-x) = (-1)^(l+m) P_l^m(x) and the nodes and weights are
         # mirror-symmetric, so transforms run on the northern half; its
         # row j mirrors row j of _south, and an odd grid's equator node
@@ -65,8 +76,10 @@ class SphereGeometry:
         self._south = slice(half - 1, None, -1)
         self._w_north = w[self._north].copy()
         self._w_north[0] /= 1 + self.n_theta % 2
-        # memoizing costs O(lmax^2 n_theta / 2) memory (~36 MB at 256);
-        # larger grids generate the Legendre values afresh per transform
+        # the Legendre blocks at cap lmax, kept after the first transform
+        # while n_theta <= 256 (O(lmax^2 n_theta / 2) memory, ~36 MB at
+        # 256); each chunk is one block there, so the memo and the blocks
+        # streamed afresh per transform on larger grids share one loop
         self._memo = None
 
     # -- quadrature ---------------------------------------------------
@@ -76,83 +89,119 @@ class SphereGeometry:
 
     # -- spherical harmonic machinery ----------------------------------
 
-    def _legendre_chunks(self, cap: int):
-        """Yield (m0, even, odd) for the orders m = m0.. (at most 16,
-        m <= cap) of one chunk: even[m - m0, i] and odd[m - m0, i] hold
-        the orthonormal P_{m+k}^m (int_{-1}^{1} P^2 dx = 1) at the
-        northern nodes for k = 2i and k = 2i + 1, zero where m + k > cap.
-        The recurrence walks k = l - m for the whole chunk at once.  Every
-        chunk is written into one buffer, so even and odd are views that
-        stay valid only until the next chunk is asked for."""
+    def _legendre_blocks(self, cap: int):
+        """Yield (m0, blocks) for each chunk of at most 16 orders m = m0..
+        (m <= cap).  blocks yields (k0, even, odd) for the degrees
+        k = l - m of the chunk, at most _BLOCK of them from k0 on:
+        even[m - m0, i] and odd[m - m0, i] hold the orthonormal P_{m+k}^m
+        (int_{-1}^{1} P^2 dx = 1) at the northern nodes for the i-th even
+        and the i-th odd k of the block, zero where m + k > cap.  The
+        recurrence walks k for the whole chunk at once in one buffer of
+        _BLOCK + 2 rows, whose first two rows carry degrees k0 - 2 and
+        k0 - 1 into each block, so even and odd are views that stay valid
+        only until the next block is asked for."""
         x = self.x[self._north]
         logs = np.log(1.0 - x * x)
-        buf = np.empty((cap + 2) * 16 * x.size)
-        scratch = np.empty((16, x.size))      # b * P[k - 1]
-        for m0 in range(0, cap + 1, 16):
-            m = np.arange(m0, min(m0 + 16, cap + 1))
-            K = cap - m0 + 1
-            # P[k + 1]: a contiguous head of buf, so each chunk has the
-            # layout of a fresh (K + 1, orders, nodes) array
-            P = buf[:(K + 1) * m.size * x.size].reshape(K + 1, m.size, x.size)
-            P[0] = 0.0
+        buf = np.empty((_BLOCK + 2) * 16 * x.size)
+        scratch = np.empty((16, x.size))      # b * P[k - 2]
+
+        def blocks(m, K):
+            # row k - k0 + 2 holds degree k: a contiguous head of buf, so
+            # a chunk of fewer than _BLOCK degrees has the layout of a
+            # fresh (K + 2, orders, nodes) array
+            rows = min(K, _BLOCK) + 2
+            P = buf[:rows * m.size * x.size].reshape(rows, m.size, x.size)
+            P[1] = 0.0
             # log of the k = 0 norm to dodge overflow
             logc = np.array([0.5 * (math.lgamma(2 * i + 2)
                                     - (2 * i + 1) * math.log(2.0))
                              - math.lgamma(i + 1) for i in m.tolist()])
-            P[1] = np.exp(logc[:, None] + (0.5 * m)[:, None] * logs)
+            P[2] = np.exp(logc[:, None] + (0.5 * m)[:, None] * logs)
             # at k = 1, a = sqrt(2m + 3) exactly and b = 0
             l = m + np.arange(1, K)[:, None]
             a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
             b = np.sqrt(((2.0 * l + 1.0) * (l - 1.0 + m) * (l - 1.0 - m))
                         / ((2.0 * l - 3.0) * (l * l - m * m)))
+            k0 = 0
             for k in range(1, K):
+                if k - k0 == _BLOCK:
+                    yield k0, *_parities(P, k0, _BLOCK)
+                    P[:2] = P[-2:]
+                    k0 = k
+                j = k - k0 + 2
                 n = min(m.size, K - k)          # orders with m + k <= cap
-                new = P[k + 1, :n]
+                new = P[j, :n]
                 np.multiply(a[k - 1, :n, None], x, out=new)
-                new *= P[k, :n]
-                new -= np.multiply(b[k - 1, :n, None], P[k - 1, :n],
+                new *= P[j - 1, :n]
+                new -= np.multiply(b[k - 1, :n, None], P[j - 2, :n],
                                    out=scratch[:n])
                 if n < m.size:
-                    P[k + 1, n:] = 0.0
-            yield m0, P[1::2].transpose(1, 0, 2), P[2::2].transpose(1, 0, 2)
+                    P[j, n:] = 0.0
+            yield k0, *_parities(P, k0, K - k0)
 
-    def _synthesize(self, grid, m0, even, odd, ce, co):
-        """Write sum_k c_k P_{m+k}^m into the rfft columns m0.. of grid
-        (complex values as real pairs); ce and co hold the (re, im) pairs
-        of the even and odd k, shaped (orders, 2, i)."""
-        e, o = ce @ even, co @ odd
-        cols = slice(m0, m0 + even.shape[0])
-        grid[self._north, cols] = (e + o).transpose(2, 0, 1)
-        grid[self._south, cols] = (e - o).transpose(2, 0, 1)
+        for m0 in range(0, cap + 1, 16):
+            yield m0, blocks(np.arange(m0, min(m0 + 16, cap + 1)),
+                             cap - m0 + 1)
+
+    def _synthesize(self, grids, chunks, coeffs):
+        """For each chunk (m0, blocks) of _legendre_blocks, write
+        sum_k c_k P_{m+k}^m into the rfft columns m0.. of each grid
+        (complex values as real pairs), summed over the chunk's blocks:
+        the first block's products write and later ones add.
+        coeffs(m0, k0, even, odd) lists, one pair per grid, the (re, im)
+        pairs of a block's even and odd k, each shaped (orders, 2, i)."""
+        for m0, blocks in chunks:
+            sums = None
+            for k0, even, odd in blocks:
+                parts = [(ce @ even, co @ odd)
+                         for ce, co in coeffs(m0, k0, even, odd)]
+                if sums is None:
+                    sums = parts
+                    continue
+                for (e, o), (de, do) in zip(sums, parts):
+                    e += de
+                    o += do
+            for grid, (e, o) in zip(grids, sums):
+                cols = slice(m0, m0 + e.shape[0])
+                grid[self._north, cols] = (e + o).transpose(2, 0, 1)
+                grid[self._south, cols] = (e - o).transpose(2, 0, 1)
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Laplace-Beltrami of the unit sphere (eigenvalues -l(l+1)):
         rfft in psi, then Legendre analysis and synthesis per order on
         the even and odd halves f(x) +- f(-x)."""
-        fm = np.fft.rfft(np.asarray(f, float), axis=1)[:, :self.lmax + 1]
-        north, south = fm[self._north], fm[self._south]
+        # each chunk's rfft columns are analysed and then overwritten with
+        # its synthesis; the columns above lmax are dropped
+        fm = np.fft.rfft(np.asarray(f, float), axis=1)
+        fm[:, self.lmax + 1:] = 0.0
         w = self._w_north[:, None]
-        # [order, node, re/im]
-        halves = [np.ascontiguousarray((w * g).T).view(float).reshape(
-            self.lmax + 1, -1, 2) for g in (north + south, north - south)]
-        out = np.zeros((self.n_theta, self.n_psi // 2 + 1), complex)
-        grid = out.view(float).reshape(self.n_theta, -1, 2)
         chunks = self._memo
         if chunks is None:
-            chunks = self._legendre_chunks(self.lmax)
+            chunks = self._legendre_blocks(self.lmax)
             if self.n_theta <= 256:
+                # copy, not ascontiguousarray: a one-row block is already
+                # contiguous, and would stay a view of the buffer
                 chunks = self._memo = [
-                    (m0, np.ascontiguousarray(e), np.ascontiguousarray(o))
-                    for m0, e, o in chunks]
-        for m0, even, odd in chunks:
-            m = np.arange(m0, m0 + even.shape[0])[:, None, None]
+                    (m0, [(k0, e.copy(), o.copy()) for k0, e, o in blocks])
+                    for m0, blocks in chunks]
+
+        def coeffs(m0, k0, even, odd):
+            cols = slice(m0, m0 + even.shape[0])
+            north, south = fm[self._north, cols], fm[self._south, cols]
+            m = np.arange(m0, cols.stop)[:, None, None]
             c = []
-            for p, P in enumerate((even, odd)):
-                l = m + p + 2.0 * np.arange(P.shape[1])
-                c.append(-l * (l + 1.0) * (P @ halves[p][m0:m0 + len(P)])
-                         .transpose(0, 2, 1))
-            self._synthesize(grid, m0, even, odd, *c)
-        return np.fft.irfft(out, n=self.n_psi, axis=1)
+            for p, (P, g) in enumerate(((even, north + south),
+                                        (odd, north - south))):
+                # [order, node, re/im]
+                half = np.ascontiguousarray((w * g).T).view(float).reshape(
+                    len(P), -1, 2)
+                l = m + k0 + (k0 + p) % 2 + 2.0 * np.arange(P.shape[1])
+                c.append(-l * (l + 1.0) * (P @ half).transpose(0, 2, 1))
+            return [c]
+
+        self._synthesize([fm.view(float).reshape(self.n_theta, -1, 2)],
+                         chunks, coeffs)
+        return np.fft.irfft(fm, n=self.n_psi, axis=1)
 
     def ddc(self, u: np.ndarray) -> np.ndarray:
         # (i/2pi) del delbar u has density Delta_{S^2} u w.r.t. dA/(4pi)
@@ -180,14 +229,18 @@ class SphereGeometry:
         cap = a.shape[-1] - 1
         out = np.zeros((len(a), self.n_theta, self.n_psi // 2 + 1), complex)
         grids = out.view(float).reshape(len(a), self.n_theta, -1, 2)
-        for m0, even, odd in self._legendre_chunks(cap):
-            for grid, field in zip(grids, a):
-                rows = field[m0:m0 + even.shape[0], :, :cap - m0 + 1]
-                self._synthesize(grid, m0, even, odd, rows[..., 0::2],
-                                 rows[..., 1::2])
+
+        def coeffs(m0, k0, even, odd):
+            rows = a[:, m0:m0 + even.shape[0], :,
+                     k0:k0 + even.shape[1] + odd.shape[1]]
+            return [(r[..., k0 % 2::2], r[..., (k0 + 1) % 2::2])
+                    for r in rows]
+
+        self._synthesize(grids, self._legendre_blocks(cap), coeffs)
         # irfft counts every order m > 0 twice, once for +m and once for -m
         out[..., 1:] /= 2.0
-        return np.fft.irfft(out * self.n_psi, n=self.n_psi, axis=-1)
+        out *= self.n_psi
+        return np.fft.irfft(out, n=self.n_psi, axis=-1)
 
     def random_potential(self, rng) -> tuple[np.ndarray, np.ndarray]:
         """Unscaled random field of degrees 1..12 and its ddc (see
@@ -237,7 +290,7 @@ class TorusGeometry:
         # mu_ref of mass V over area Im(tau) this is (Im tau/(4 pi V)) Delta u
         self._ddc_factor = tau.imag / (4.0 * np.pi * self.V)
         self.default_Sbar = 0.0
-        self.ric = np.zeros(self.shape)
+        self.ric = np.broadcast_to(0.0, self.shape)
 
     def quad(self, f) -> float:
         return float(np.sum(self.weights * f))

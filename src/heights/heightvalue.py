@@ -32,7 +32,9 @@ def json_rational(x) -> Fraction:
     """A rational read from JSON: an integer, a finite float or a string
     Fraction accepts ("-3/4", "1.5e-3").  A string whose numerator or
     denominator would have more than RATIONAL_DIGITS digits raises
-    ValueError before Fraction expands its exponent."""
+    ValueError before Fraction expands its exponent, and so does a value
+    outside the float range: one that float() overflows, or a nonzero
+    one that it rounds to 0.0."""
     if isinstance(x, bool):
         raise TypeError(f"expected a rational, got {x!r}")
     if isinstance(x, float) and not math.isfinite(x):
@@ -49,7 +51,15 @@ def json_rational(x) -> Fraction:
                 or -shift >= RATIONAL_DIGITS:
             raise ValueError(f"rational {x[:40]!r} has more than "
                              f"{RATIONAL_DIGITS} digits")
-    return Fraction(x)
+    q = Fraction(x)
+    try:
+        in_range = float(q) != 0.0 or q == 0
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise ValueError(f"rational {str(x)[:40]!r} is outside the float "
+                         f"range")
+    return q
 
 
 # Miller-Rabin on these bases is exact below _MR_BOUND (Sorenson-Webster 2015)

@@ -10,13 +10,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from brute_force import hypersurface_lengths
 from heights.energies import (apply_metric_change, aubin_i, aubin_j,
                               cubic_identity_check, k_energy,
                               metric_model_pair)
 from heights.families import (BrieskornPhamSpec, brieskorn_pham_analyze,
                               build_p1_fs, build_p2_blowup_family,
                               curve_from_label, elliptic_faltings_height,
-                              hypersurface_lengths,
                               multiplicity_from_lengths)
 from heights.functionals import (aubin_I_rel, aubin_J_rel,
                                  component_twist_derivative,

@@ -205,6 +205,29 @@ def test_long_integer_literal_in_model_exits_2(tmp_path, capsys):
     assert "ValidationError" in err and "not readable JSON" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("deg_Ln", "1/1" + "0" * 400),      # float() rounds it to 0.0
+    ("deg_Ln", "1" + "0" * 400),        # float() overflows
+    ("form[L,L]", "1" + "0" * 400),
+], ids=["tiny_deg_Ln", "huge_deg_Ln", "huge_const"])
+@pytest.mark.parametrize("argv", [["validate"], ["compute"],
+                                  ["scan", "--m-max", "5"],
+                                  ["balanced", "--m", "1"]],
+                         ids=lambda argv: argv[0])
+def test_rational_outside_float_range_exits_2(tmp_path, capsys, field,
+                                              value, argv):
+    obj = build_p1_fs().to_json()
+    if field == "deg_Ln":
+        obj["deg_Ln"] = value
+    else:
+        obj["form"]["L,L"]["const"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(argv + ["--model", str(bad)], capsys)
+    assert code in (2, 3) and out == "" and "Traceback" not in err
+    assert f"model field {field!r}" in err and "float range" in err
+
+
 @pytest.mark.parametrize("arch_term", ["nan", "inf"])
 def test_non_finite_arch_term_exits_2(capsys, arch_term):
     code, out, err = run(["compute", "--family", "p1-fs", "--functional",

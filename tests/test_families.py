@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from brute_force import hypersurface_lengths
 from heights import families
 from heights.errors import (CoprimalityViolated, DuplicatePrime,
                             NonMinimalModel, NonPrimeLabel, OutsideCone,
@@ -17,8 +18,7 @@ from heights.families import (BrieskornPhamSpec, CongruenceSemigroup,
                               build_p1_fs, build_p2_blowup_family,
                               curve_from_label, curve_periods,
                               dedekind_eta, elliptic_faltings_height,
-                              faltings_to_hk, hypersurface_lengths,
-                              multiplicity_from_lengths)
+                              faltings_to_hk, multiplicity_from_lengths)
 from heights.functionals import (aubin_I_rel, aubin_J_rel,
                                  decomposition_check, modular_height,
                                  na_scalar_curvature,

@@ -155,24 +155,81 @@ def test_synth_harmonics_matches_reference_blocks(shape):
 
 
 @pytest.mark.parametrize("cap", [4, 16, 33, 40])
-def test_legendre_chunks_equal_reference_blocks(cap):
+def test_legendre_chunks_equal_reference_blocks(cap, monkeypatch):
     # same recurrence, same operation order: equal to the last bit on
-    # the northern nodes, for every order and below any degree cap.  All
-    # chunks share one buffer, so each is copied as it is yielded; caps
-    # 33 and 40 take three chunks, the last one short, and would show
-    # rows left over from an earlier chunk
+    # the northern nodes, for every order and below any degree cap.
+    # Blocks of 5 degrees cross several block boundaries, and every
+    # other block starts on an odd k.  All blocks share one buffer, so
+    # each is copied as it is yielded; caps 33 and 40 take three chunks,
+    # the last one short, and would show rows left over from an earlier
+    # chunk or block
+    monkeypatch.setattr("heights.geometry._BLOCK", 5)
     g = SphereGeometry(41, n_psi=83)
-    chunks = [(m0, even.copy(), odd.copy())
-              for m0, even, odd in g._legendre_chunks(cap)]
-    assert [m0 for m0, _, _ in chunks] == list(range(0, cap + 1, 16))
-    for m0, even, odd in chunks:
-        for j in range(even.shape[0]):
+    chunks = [(m0, [(k0, even.copy(), odd.copy())
+                    for k0, even, odd in blocks])
+              for m0, blocks in g._legendre_blocks(cap)]
+    assert [m0 for m0, _ in chunks] == list(range(0, cap + 1, 16))
+    north = g.x >= 0
+    for m0, blocks in chunks:
+        K = cap - m0 + 1
+        assert [k0 for k0, _, _ in blocks] == list(range(0, K, 5))
+        got = {}
+        for k0, even, odd in blocks:
+            assert even.shape[1] + odd.shape[1] == min(5, K - k0)
+            for first, P in ((k0 + k0 % 2, even), (k0 + (k0 + 1) % 2, odd)):
+                for i in range(P.shape[1]):
+                    assert first + 2 * i not in got
+                    got[first + 2 * i] = P[:, i]
+        assert sorted(got) == list(range(K))
+        rows = np.stack([got[k] for k in range(K)], axis=1)
+        for j in range(rows.shape[0]):
             m = m0 + j
-            want = legendre_block_reference(g, m)[:cap - m + 1, g.x >= 0]
-            got = np.zeros((even.shape[1] + odd.shape[1], want.shape[1]))
-            got[0::2], got[1::2] = even[j], odd[j]
-            assert np.array_equal(got[:cap - m + 1], want)
-            assert not got[cap - m + 1:].any()
+            want = legendre_block_reference(g, m)[:cap - m + 1, north]
+            assert np.array_equal(rows[j, :cap - m + 1], want)
+            assert not rows[j, cap - m + 1:].any()
+
+
+@pytest.mark.parametrize("shape", [(17, 35), (64, 128)],
+                         ids=["17x35", "64x128"])
+def test_short_blocks_match_default_blocks(shape, monkeypatch):
+    # only the order of each chunk's synthesis sum changes with the
+    # block size; (64, 128) also fills the memo with several blocks per
+    # chunk, one-row blocks among them
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=shape)
+    coeffs = {(l, m): rng.normal() for l in range(shape[0])
+              for m in range(-l, l + 1)}
+    g = SphereGeometry(*shape)
+    want = [g.laplacian(f), g.synth_harmonics(coeffs)]
+    monkeypatch.setattr("heights.geometry._BLOCK", 5)
+    g = SphereGeometry(*shape)
+    got = [g.laplacian(f), g.synth_harmonics(coeffs)]
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+
+def test_laplacian_memory_is_bounded_at_grid_512():
+    # the recurrence buffer holds _BLOCK + 2 degrees (8.5 MB), not a
+    # whole 16-order chunk of 512 (16.8 MB), and the rfft array (4.2 MB)
+    # is also the output: 13.0 MB measured, 32.1 MB with whole chunks
+    g = SphereGeometry(512)
+    f = np.random.default_rng(4).normal(size=g.shape)
+    tracemalloc.start()
+    try:
+        g.laplacian(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("g, value", [(SPHERE, 2.0),
+                                      (TorusGeometry(1j, n=8), 0.0)],
+                         ids=["sphere", "torus"])
+def test_reference_ricci_is_read_only(g, value):
+    assert np.array_equal(g.ric, np.full(g.shape, value))
+    with pytest.raises(ValueError):
+        g.ric[0, 0] = 1.0
 
 
 def held_bytes(g):

@@ -60,6 +60,33 @@ def test_gram_validation():
             1, ("a", "b"), np.diag([1.0, -1.0]), "omega"))
 
 
+@pytest.mark.parametrize("convention", ["omega", "m-omega"])
+def test_closed_form_gram_equals_vectorized_lgamma(convention):
+    # bit for bit the former expression, np.vectorize over math.lgamma
+    for m in range(1, 49):
+        a = np.arange(m + 1)
+        logs = (np.vectorize(math.lgamma)(a + 1.0)
+                + np.vectorize(math.lgamma)(m - a + 1.0)
+                - math.lgamma(m + 2.0))
+        if convention == "m-omega":
+            logs = logs + math.log(m)
+        assert np.array_equal(l2_gram("p1-fs", m, "fs", convention).gram,
+                              np.diag(np.exp(logs)))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+def test_gram_symmetry_tolerance(scale):
+    # |g - g^T| may reach 1e-13 max(1, max|g|) and no further
+    tol = 1e-13 * max(1.0, scale)
+    for off, ok in ((0.5 * tol, True), (tol, True), (2.0 * tol, False)):
+        g = np.array([[scale, off], [0.0, 1.0]])
+        if ok:
+            SectionGram(1, ("a", "b"), g, "omega")
+        else:
+            with pytest.raises(ValidationError, match="symmetric"):
+                SectionGram(1, ("a", "b"), g, "omega")
+
+
 def test_chow_height_convention_guard():
     g = l2_gram("p1-fs", 4, "fs", "omega")
     with pytest.raises(ConventionMismatch):
