@@ -97,6 +97,7 @@ def build_p2_blowup_family(primes=(2, 3, 5), twist: int = 2,
         orc = blowup_family_oracle(t)
         assert orc["piL2_F"] == 0 and orc["piL_F2"] == -1
         assert orc["F3"] == 1 and orc["piK_F2"] == 1
+        assert orc["piL_piK_F"] == 0 and orc["piK2_F"] == 0
 
     deg_Ln, deg_LK, n = Fraction(8), Fraction(-8), 2
 

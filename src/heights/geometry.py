@@ -12,6 +12,7 @@ curvature by ddc(alpha).
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -23,8 +24,22 @@ from .errors import ValidationError
 # alone takes ~4.6 s and ~290 MB; the weight grid is n_theta x n_psi)
 MAX_GRID = 4096
 # degrees k = l - m per block of the Legendre recurrence: its buffer holds
-# _BLOCK + 2 rows of 16 orders by n_theta / 2 nodes (8.5 MB at n_theta 512)
+# _BLOCK + 2 rows of _CHUNK orders by n_theta / 2 nodes (8.5 MB at
+# n_theta 512)
 _BLOCK = 256
+# orders m per chunk of the Legendre recurrence
+_CHUNK = 16
+# the Legendre memo of each grid with n_theta <= 256, keyed by
+# (n_theta, lmax, _BLOCK) and held by the geometries that use it
+_MEMOS = weakref.WeakValueDictionary()
+
+
+class _Memo(list):
+    """A grid's Legendre chunks [(m0, [(k0, even, odd), ...]), ...] at cap
+    lmax, as _legendre_blocks yields them, each block a copy; key is its
+    entry in _MEMOS."""
+
+    __slots__ = ("key", "__weakref__")
 
 
 def _check_size(name: str, size: int, cap: int) -> None:
@@ -38,6 +53,45 @@ def _parities(P, k0: int, nk: int):
     of a recurrence block P, each as [order, i, node]."""
     return (P[2 + k0 % 2:nk + 2:2].transpose(1, 0, 2),
             P[2 + (k0 + 1) % 2:nk + 2:2].transpose(1, 0, 2))
+
+
+def _eigen_sums(m0: int, blocks, halves):
+    """A laplacian chunk's synthesis sums (even, odd), [order, re/im,
+    node]: per block and parity, the analysis of that parity's weighted
+    half [order, node, re/im] of the rfft columns m0.., times -l(l+1),
+    synthesized while the block is in cache.  Summed over the blocks in
+    their order; no view of a block outlives the call."""
+    m = np.arange(m0, m0 + len(halves[0]))[:, None, None]
+    sums = [None, None]
+    for k0, *parities in blocks:
+        for p, (P, half) in enumerate(zip(parities, halves)):
+            l = m + k0 + (k0 + p) % 2 + 2.0 * np.arange(P.shape[1])
+            part = (-l * (l + 1.0) * (P @ half).transpose(0, 2, 1)) @ P
+            if sums[p] is None:
+                sums[p] = part
+            else:
+                sums[p] += part
+    return sums
+
+
+def _synthesis_sums(a: np.ndarray, m0: int, blocks) -> list:
+    """A chunk's synthesis sums (even, odd) of each field a[f] ([m, re/im,
+    l - m]), [order, re/im, node]: the first block's products write and
+    later blocks add.  No view of a block outlives the call, so the
+    recurrence buffer is freed before the inverse FFT."""
+    sums = None
+    for k0, even, odd in blocks:
+        rows = a[:, m0:m0 + even.shape[0], :,
+                 k0:k0 + even.shape[1] + odd.shape[1]]
+        parts = [(r[..., k0 % 2::2] @ even, r[..., (k0 + 1) % 2::2] @ odd)
+                 for r in rows]
+        if sums is None:
+            sums = parts
+            continue
+        for (e, o), (de, do) in zip(sums, parts):
+            e += de
+            o += do
+    return sums
 
 
 class SphereGeometry:
@@ -76,10 +130,11 @@ class SphereGeometry:
         self._south = slice(half - 1, None, -1)
         self._w_north = w[self._north].copy()
         self._w_north[0] /= 1 + self.n_theta % 2
-        # the Legendre blocks at cap lmax, kept after the first transform
-        # while n_theta <= 256 (O(lmax^2 n_theta / 2) memory, ~36 MB at
-        # 256); each chunk is one block there, so the memo and the blocks
-        # streamed afresh per transform on larger grids share one loop
+        # the grid's Legendre blocks at cap lmax while n_theta <= 256
+        # (O(lmax^2 n_theta / 2) memory, ~36 MB at 256): one memo per grid
+        # in _MEMOS, attached at the first transform and freed with the
+        # last geometry that holds it; larger grids stream their blocks
+        # afresh per transform through the same loop
         self._memo = None
 
     # -- quadrature ---------------------------------------------------
@@ -90,7 +145,7 @@ class SphereGeometry:
     # -- spherical harmonic machinery ----------------------------------
 
     def _legendre_blocks(self, cap: int):
-        """Yield (m0, blocks) for each chunk of at most 16 orders m = m0..
+        """Yield (m0, blocks) for each chunk of at most _CHUNK orders m = m0..
         (m <= cap).  blocks yields (k0, even, odd) for the degrees
         k = l - m of the chunk, at most _BLOCK of them from k0 on:
         even[m - m0, i] and odd[m - m0, i] hold the orthonormal P_{m+k}^m
@@ -102,8 +157,8 @@ class SphereGeometry:
         only until the next block is asked for."""
         x = self.x[self._north]
         logs = np.log(1.0 - x * x)
-        buf = np.empty((_BLOCK + 2) * 16 * x.size)
-        scratch = np.empty((16, x.size))      # b * P[k - 2]
+        buf = np.empty((_BLOCK + 2) * _CHUNK * x.size)
+        scratch = np.empty((_CHUNK, x.size))      # b * P[k - 2]
 
         def blocks(m, K):
             # row k - k0 + 2 holds degree k: a contiguous head of buf, so
@@ -139,32 +194,34 @@ class SphereGeometry:
                     P[j, n:] = 0.0
             yield k0, *_parities(P, k0, K - k0)
 
-        for m0 in range(0, cap + 1, 16):
-            yield m0, blocks(np.arange(m0, min(m0 + 16, cap + 1)),
+        for m0 in range(0, cap + 1, _CHUNK):
+            yield m0, blocks(np.arange(m0, min(m0 + _CHUNK, cap + 1)),
                              cap - m0 + 1)
 
-    def _synthesize(self, grids, chunks, coeffs):
-        """For each chunk (m0, blocks) of _legendre_blocks, write
-        sum_k c_k P_{m+k}^m into the rfft columns m0.. of each grid
-        (complex values as real pairs), summed over the chunk's blocks:
-        the first block's products write and later ones add.
-        coeffs(m0, k0, even, odd) lists, one pair per grid, the (re, im)
-        pairs of a block's even and odd k, each shaped (orders, 2, i)."""
-        for m0, blocks in chunks:
-            sums = None
-            for k0, even, odd in blocks:
-                parts = [(ce @ even, co @ odd)
-                         for ce, co in coeffs(m0, k0, even, odd)]
-                if sums is None:
-                    sums = parts
-                    continue
-                for (e, o), (de, do) in zip(sums, parts):
-                    e += de
-                    o += do
-            for grid, (e, o) in zip(grids, sums):
-                cols = slice(m0, m0 + e.shape[0])
-                grid[self._north, cols] = (e + o).transpose(2, 0, 1)
-                grid[self._south, cols] = (e - o).transpose(2, 0, 1)
+    def _chunks(self):
+        """The Legendre chunks at cap lmax: the grid's memo on grids with
+        n_theta <= 256, built or found in _MEMOS at the first transform
+        (and again if _BLOCK has changed), else streamed afresh."""
+        if self.n_theta > 256:
+            return self._legendre_blocks(self.lmax)
+        key = (self.n_theta, self.lmax, _BLOCK)
+        if self._memo is None or self._memo.key != key:
+            self._memo = _MEMOS.get(key)
+            if self._memo is None:
+                # copy, not ascontiguousarray: a one-row block is already
+                # contiguous, and would stay a view of the buffer
+                self._memo = _MEMOS[key] = _Memo(
+                    (m0, [(k0, e.copy(), o.copy()) for k0, e, o in blocks])
+                    for m0, blocks in self._legendre_blocks(self.lmax))
+                self._memo.key = key
+        return self._memo
+
+    def _put(self, grid, m0: int, even, odd) -> None:
+        """Write a chunk's even and odd sums [order, re/im, node] into the
+        rfft columns m0.. of grid (complex values as real pairs)."""
+        cols = slice(m0, m0 + even.shape[0])
+        grid[self._north, cols] = (even + odd).transpose(2, 0, 1)
+        grid[self._south, cols] = (even - odd).transpose(2, 0, 1)
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Laplace-Beltrami of the unit sphere (eigenvalues -l(l+1)):
@@ -174,33 +231,15 @@ class SphereGeometry:
         # its synthesis; the columns above lmax are dropped
         fm = np.fft.rfft(np.asarray(f, float), axis=1)
         fm[:, self.lmax + 1:] = 0.0
+        grid = fm.view(float).reshape(self.n_theta, -1, 2)
         w = self._w_north[:, None]
-        chunks = self._memo
-        if chunks is None:
-            chunks = self._legendre_blocks(self.lmax)
-            if self.n_theta <= 256:
-                # copy, not ascontiguousarray: a one-row block is already
-                # contiguous, and would stay a view of the buffer
-                chunks = self._memo = [
-                    (m0, [(k0, e.copy(), o.copy()) for k0, e, o in blocks])
-                    for m0, blocks in chunks]
-
-        def coeffs(m0, k0, even, odd):
-            cols = slice(m0, m0 + even.shape[0])
+        for m0, blocks in self._chunks():
+            cols = slice(m0, min(m0 + _CHUNK, self.lmax + 1))
             north, south = fm[self._north, cols], fm[self._south, cols]
-            m = np.arange(m0, cols.stop)[:, None, None]
-            c = []
-            for p, (P, g) in enumerate(((even, north + south),
-                                        (odd, north - south))):
-                # [order, node, re/im]
-                half = np.ascontiguousarray((w * g).T).view(float).reshape(
-                    len(P), -1, 2)
-                l = m + k0 + (k0 + p) % 2 + 2.0 * np.arange(P.shape[1])
-                c.append(-l * (l + 1.0) * (P @ half).transpose(0, 2, 1))
-            return [c]
-
-        self._synthesize([fm.view(float).reshape(self.n_theta, -1, 2)],
-                         chunks, coeffs)
+            # [order, node, re/im]
+            halves = [np.ascontiguousarray((w * g).T).view(float).reshape(
+                cols.stop - m0, -1, 2) for g in (north + south, north - south)]
+            self._put(grid, m0, *_eigen_sums(m0, blocks, halves))
         return np.fft.irfft(fm, n=self.n_psi, axis=1)
 
     def ddc(self, u: np.ndarray) -> np.ndarray:
@@ -229,26 +268,30 @@ class SphereGeometry:
         cap = a.shape[-1] - 1
         out = np.zeros((len(a), self.n_theta, self.n_psi // 2 + 1), complex)
         grids = out.view(float).reshape(len(a), self.n_theta, -1, 2)
-
-        def coeffs(m0, k0, even, odd):
-            rows = a[:, m0:m0 + even.shape[0], :,
-                     k0:k0 + even.shape[1] + odd.shape[1]]
-            return [(r[..., k0 % 2::2], r[..., (k0 + 1) % 2::2])
-                    for r in rows]
-
-        self._synthesize(grids, self._legendre_blocks(cap), coeffs)
-        # irfft counts every order m > 0 twice, once for +m and once for -m
-        out[..., 1:] /= 2.0
-        out *= self.n_psi
+        for m0, blocks in self._legendre_blocks(cap):
+            for grid, sums in zip(grids, _synthesis_sums(a, m0, blocks)):
+                self._put(grid, m0, *sums)
+        # irfft counts every order m > 0 twice, once for +m and once for
+        # -m; the columns above cap are zero
+        out[..., 1:cap + 1] /= 2.0
+        out[..., :cap + 1] *= self.n_psi
         return np.fft.irfft(out, n=self.n_psi, axis=-1)
 
     def random_potential(self, rng) -> tuple[np.ndarray, np.ndarray]:
         """Unscaled random field of degrees 1..12 and its ddc (see
         PotentialField.random).  Harmonics are eigenfunctions, so ddc is
         the synthesis of -l(l+1) c: no transform is taken."""
-        a = self._harmonic_array({(l, m): rng.normal() / (1.0 + l) ** 2
-                                  for l in range(1, 13)
-                                  for m in range(-l, l + 1)})
+        if self.lmax < 12:
+            raise ValidationError("harmonic index beyond grid band limit")
+        # coefficient j = 1..168 is (l, m) with j = l^2 + l + m, in the
+        # order of the draws
+        j = np.arange(1, 169)
+        deg = np.sqrt(j).astype(int)
+        m = j - deg * deg - deg
+        c = rng.normal(size=j.size) / (1.0 + deg) ** 2
+        a = np.zeros((13, 2, 13))
+        a[abs(m), (m < 0).astype(int), deg - abs(m)] += np.where(m >= 0,
+                                                                  c, -c)
         k = np.arange(len(a))
         l = k[:, None] + k                              # [m, l - m]
         samples, ddc = self._synth_fields(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from ._frozen import FrozenValue
-from .errors import NonPrimeLabel
+from .errors import NonPrimeLabel, NumericError
 
 RationalLike = int | str | Fraction
 
@@ -186,10 +186,18 @@ class HeightValue(FrozenValue):
     # -- queries ------------------------------------------------------
 
     def evaluate(self) -> float:
-        total = float(self.const_part)
-        for p, c in self.log_terms.items():
-            total += float(c) * math.log(p)
-        return total + self.real_part
+        """The value as a float; NumericError if it leaves the float
+        range (the exact parts may hold any rational)."""
+        try:
+            total = float(self.const_part)
+            for p, c in self.log_terms.items():
+                total += float(c) * math.log(p)
+        except OverflowError:
+            total = math.inf
+        total += self.real_part
+        if not math.isfinite(total):
+            raise NumericError("height value is outside the float range")
+        return total
 
     def is_zero(self, real_tol: float = 1e-12) -> bool:
         return (self.const_part == 0 and not self.log_terms

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._frozen import FrozenValue
 from .errors import (ConventionMismatch, NonPositiveDefinite,
-                     UnsupportedFamily, ValidationError)
+                     NumericError, UnsupportedFamily, ValidationError)
 from .geometry import SphereGeometry
 from .intersection import FAMILY_GEOMETRY
 
@@ -343,8 +343,11 @@ def balanced_iterate(g0: SectionGram, geometry: SphereGeometry,
 def _htilde_c(model, g, geometry, phi, rho) -> float:
     # the Bott-Chern shift of (L_m^2) against FS^m over (n+1)(L_m^n)[K:Q]
     shift = 0.5 * geometry.quad(np.log(phi) * (g.m + rho))
-    return chow_height(model, g) + shift / (
+    h = chow_height(model, g) + shift / (
         2.0 * g.m * float(model.deg_Ln) * model.degree_KQ)
+    if not math.isfinite(h):
+        raise NumericError("h~_C is outside the float range")
+    return h
 
 
 def htilde_c_of_gram(model, g: SectionGram,
@@ -398,7 +401,11 @@ def hilbert_samuel_residual(model, m_max: int):
         main = (A * m ** (n + 1) / math.factorial(n + 1)
                 - Ln * m ** n * math.log(m) / (4.0 * math.factorial(n - 1))
                 - B * m ** n / (2.0 * math.factorial(n)))
-        out.append((m, dh - main))
+        r = dh - main
+        if not math.isfinite(r):
+            raise NumericError(f"Hilbert-Samuel residual at m = {m} is "
+                               f"outside the float range")
+        out.append((m, r))
     return out
 
 
@@ -414,6 +421,9 @@ def dequantization_scan(model, m_max: int) -> ScanResult:
     table = []
     for m, dh in enumerate(deg_hats, start=1):
         hc = _chow(model, m, A, dh, m + 1)
+        if not math.isfinite(hc):
+            raise NumericError(f"Chow height at m = {m} is outside the "
+                               f"float range")
         table.append((m, dh, hc, hc - 0.25 * n * math.log(m)))
 
     lo = max(1, m_max // 2)

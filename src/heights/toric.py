@@ -7,8 +7,10 @@ log discrepancies of divisorial valuations on simplicial cones.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import OutsideCone, ValidationError
 
@@ -117,13 +119,15 @@ class ToricThreefold:
         return total
 
 
-def blowup_family_oracle(t: int = 2) -> dict:
+@functools.cache
+def blowup_family_oracle(t: int = 2) -> MappingProxyType:
     """Independent toric computation of the degree-8 del Pezzo family
     blown up along the exceptional curve of one closed fiber.
 
     Returns the exact changes of (L^3) and (L^2.K) and of h_K (all as
     coefficients of log p) for the twist L_t = pi*(-K) - t*F, plus the
-    primitive products the rule-based builder assumes.
+    six primitive products per prime that the rule-based builder
+    assumes.  Computed once per twist; the mapping is read-only.
     """
     rays = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (1, 1, 0),
             (0, 0, 1), (0, 0, -1), (1, 1, 1)]
@@ -141,15 +145,17 @@ def blowup_family_oracle(t: int = 2) -> dict:
     dB = X.product(Lt, Lt, K_rel) - X.product(piL, piL, piK_rel)
     n, deg_Ln, deg_LK = 2, 8, -8
     dhk = -n * deg_LK * dA + (n + 1) * deg_Ln * dB
-    return {
+    return MappingProxyType({
         "delta_L3": dA,
         "delta_L2K": dB,
         "delta_hk": dhk,
         "piL2_F": X.product(piL, piL, F),
+        "piL_piK_F": X.product(piL, piK_rel, F),
+        "piK2_F": X.product(piK_rel, piK_rel, F),
         "piL_F2": X.product(piL, F, F),
         "F3": X.product(F, F, F),
         "piK_F2": X.product(piK_rel, F, F),
-    }
+    })
 
 
 def toric_log_discrepancy(cone_rays, v):

@@ -1,6 +1,10 @@
 """Brute-force references that only the tests use."""
 
 import itertools
+import math
+from fractions import Fraction
+
+from heights.heightvalue import HeightValue
 
 
 def hypersurface_lengths(num_vars: int, degree: int, j_max: int):
@@ -15,3 +19,33 @@ def hypersurface_lengths(num_vars: int, degree: int, j_max: int):
                 c += 1
         out.append(c)
     return out
+
+
+def primes_to(n: int) -> list:
+    """The primes p <= n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"[:n + 1]
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if sieve[p]]
+
+
+def p1_deg_hat_exact(m: int) -> HeightValue:
+    """deg_hat(m) = -1/2 [2 sum_{k<=m} (m-k+1) log k - (m+1) log (m+1)!
+    + (m+1) log m] with each logarithm split over the primes: the bracket
+    has integer log-prime coefficients, from the p-adic valuations of k,
+    of m and (by Legendre's formula) of (m+1)!."""
+    logs = {}
+    for p in primes_to(m + 1):
+        c, q = 0, p
+        while q <= m + 1:
+            # the k <= m divisible by q are k = j q, j = 1..J
+            J = m // q
+            c += 2 * (J * (m + 1) - q * J * (J + 1) // 2)
+            c -= (m + 1) * ((m + 1) // q)
+            if m % q == 0:
+                c += m + 1
+            q *= p
+        logs[p] = c
+    return HeightValue(log_terms=logs).scale(Fraction(-1, 2))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import time
 
 import pytest
@@ -205,6 +206,18 @@ def test_long_integer_literal_in_model_exits_2(tmp_path, capsys):
     assert "ValidationError" in err and "not readable JSON" in err
 
 
+def model_with(tmp_path, field, value):
+    """The P^1 model file with deg_Ln or the (L.L) constant set to value."""
+    obj = build_p1_fs().to_json()
+    if field == "deg_Ln":
+        obj["deg_Ln"] = value
+    else:
+        obj["form"]["L,L"]["const"] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 @pytest.mark.parametrize("field, value", [
     ("deg_Ln", "1/1" + "0" * 400),      # float() rounds it to 0.0
     ("deg_Ln", "1" + "0" * 400),        # float() overflows
@@ -216,16 +229,44 @@ def test_long_integer_literal_in_model_exits_2(tmp_path, capsys):
                          ids=lambda argv: argv[0])
 def test_rational_outside_float_range_exits_2(tmp_path, capsys, field,
                                               value, argv):
-    obj = build_p1_fs().to_json()
-    if field == "deg_Ln":
-        obj["deg_Ln"] = value
-    else:
-        obj["form"]["L,L"]["const"] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
-    code, out, err = run(argv + ["--model", str(bad)], capsys)
+    code, out, err = run(argv + ["--model", model_with(tmp_path, field,
+                                                      value)], capsys)
     assert code in (2, 3) and out == "" and "Traceback" not in err
     assert f"model field {field!r}" in err and "float range" in err
+
+
+NON_FINITE_MODELS = {"big": ("form[L,L]", "1.7e308"),
+                     "tiny": ("deg_Ln", "1e-320")}
+
+
+# each value loads, but a height derived from it leaves the float range:
+# h_K doubles the big constant, and the Chow height multiplies it by m^2
+# or divides by the tiny degree
+@pytest.mark.parametrize("case, argv", [
+    ("big", ["compute"]),
+    ("big", ["scan", "--m-max", "5"]),
+    ("tiny", ["scan", "--m-max", "5", "--emit", "json"]),
+    ("big", ["scan", "--m-max", "5", "--kind", "hilbert-samuel"]),
+    ("big", ["balanced", "--m", "2"]),
+    ("tiny", ["balanced", "--m", "2"]),
+], ids=["compute-big", "scan-big", "scan-tiny", "hs-big", "balanced-big",
+        "balanced-tiny"])
+def test_non_finite_derived_value_exits_3(tmp_path, capsys, case, argv):
+    path = model_with(tmp_path, *NON_FINITE_MODELS[case])
+    code, out, err = run(argv + ["--model", path], capsys)
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.startswith("numeric failure:") and "float range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute"], ["scan", "--m-max", "5", "--kind", "hilbert-samuel"]],
+    ids=["compute", "hs"])
+def test_tiny_degree_with_finite_output_exits_0(tmp_path, capsys, argv):
+    path = model_with(tmp_path, *NON_FINITE_MODELS["tiny"])
+    code, out, _ = run(argv + ["--model", path, "--emit", "json"], capsys)
+    assert code == 0
+    assert all(math.isfinite(v) for row in json.loads(out)
+               for v in row.values() if isinstance(v, float))
 
 
 @pytest.mark.parametrize("arch_term", ["nan", "inf"])

@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 from brute_force import hypersurface_lengths
-from heights import families
+from heights import families, toric
 from heights.errors import (CoprimalityViolated, DuplicatePrime,
                             NonMinimalModel, NonPrimeLabel, OutsideCone,
                             ValidationError)
@@ -63,6 +63,37 @@ def test_blowup_matches_toric_oracle():
     assert orc["delta_L3"] == -20 and orc["delta_L2K"] == 12
     # sign flip at twist 1
     assert blowup_family_oracle(1)["delta_hk"] == 32
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_toric_oracle_pins_the_six_per_prime_rules(t):
+    # the products of _blowup_primitive_form: two-base monomials vanish,
+    # (Lb.F^2) = -1, (Kb.F^2) = (F^3) = 1, whatever the twist
+    orc = blowup_family_oracle(t)
+    assert {k: orc[k] for k in ("piL2_F", "piL_piK_F", "piK2_F", "piL_F2",
+                                "piK_F2", "F3")} == {
+        "piL2_F": 0, "piL_piK_F": 0, "piK2_F": 0, "piL_F2": -1,
+        "piK_F2": 1, "F3": 1}
+    with pytest.raises(TypeError):
+        orc["F3"] = 0
+
+
+def test_validated_builds_compute_the_fan_once(monkeypatch):
+    fans = []
+
+    class CountedFan(toric.ToricThreefold):
+        def __init__(self, *args):
+            fans.append(1)
+            super().__init__(*args)
+
+    blowup_family_oracle.cache_clear()
+    monkeypatch.setattr(toric, "ToricThreefold", CountedFan)
+    try:
+        for primes in [(2, 3), (5,)]:
+            build_p2_blowup_family(primes, twist=3)
+    finally:
+        blowup_family_oracle.cache_clear()
+    assert len(fans) == 1
 
 
 def test_blowup_decomposition_and_aubin():

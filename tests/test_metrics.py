@@ -1,7 +1,9 @@
 """Quadrature geometries, potentials and archimedean energies."""
 
+import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -208,19 +210,105 @@ def test_short_blocks_match_default_blocks(shape, monkeypatch):
         assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
 
 
+def traced_peak(fn, *args) -> int:
+    """Peak bytes tracemalloc sees while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_laplacian_memory_is_bounded_at_grid_512():
     # the recurrence buffer holds _BLOCK + 2 degrees (8.5 MB), not a
     # whole 16-order chunk of 512 (16.8 MB), and the rfft array (4.2 MB)
-    # is also the output: 13.0 MB measured, 32.1 MB with whole chunks
+    # is also the output: 12.9 MB measured, 32.1 MB with whole chunks,
+    # 16.4 MB if a view of the buffer outlives the chunk loop
     g = SphereGeometry(512)
     f = np.random.default_rng(4).normal(size=g.shape)
-    tracemalloc.start()
-    try:
-        g.laplacian(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert traced_peak(g.laplacian, f) < 14 * 2 ** 20
+
+
+@pytest.mark.parametrize("method, limit", [("synth_harmonics", 14),
+                                           ("random_potential", 18)])
+def test_synthesis_memory_is_bounded_at_grid_512(method, limit):
+    # the recurrence buffer (8.5 MB) is freed before the inverse FFT
+    # allocates its output: 12.3 and 16.4 MB measured, 16.2 and 24.3 MB
+    # when a view of a block outlives the chunk loop
+    g = SphereGeometry(512)
+    arg = ({(l, m): 0.1 for l in range(13) for m in range(-l, l + 1)}
+           if method == "synth_harmonics" else np.random.default_rng(0))
+    assert traced_peak(getattr(g, method), arg) < limit * 2 ** 20
+
+
+# SHA-256 prefixes of the outputs for seeds 0-7 of the transform before
+# the memo was shared and each block read once per parity
+OUTPUT_DIGESTS = {
+    (16, 33): ("b5a21f05fafc990e", "54e7e97d191ded58", "3001c7b56ba39864"),
+    (17, 35): ("8c849332483ab4ee", "cd9978872886a73b", "faf6fe92ffa39b73"),
+    (64, 128): ("a8ae6428a68ff870", "271577d63c07b0b4", "21e3520f577659c0"),
+    (128, 256): ("e2b7c254d353a0d7", "349a40971bc5605a", "e997e779e2df6794"),
+    (256, 512): ("590f2494d133d48a", "22b8e1ce256f9ff1", "bdace84867e25a98"),
+    (512, 1024): ("06b7265c3be4d9a3", "b08aee5b649d3f41",
+                  "1fb9c4b8ef19b3cb"),
+}
+
+
+@pytest.mark.parametrize("shape", list(OUTPUT_DIGESTS),
+                         ids=lambda s: "%dx%d" % s)
+def test_transforms_are_bit_identical_to_recorded(shape):
+    # laplacian of white noise, synth_harmonics of all degrees to 20 and
+    # PotentialField.random (samples, then ddc), hashed over the seeds
+    g = SphereGeometry(*shape)
+    digests = [hashlib.sha256() for _ in range(3)]
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        digests[0].update(g.laplacian(rng.normal(size=g.shape)).tobytes())
+        cap = min(g.lmax, 20)
+        coeffs = {(l, m): rng.normal() for l in range(cap + 1)
+                  for m in range(-l, l + 1)}
+        digests[1].update(g.synth_harmonics(coeffs).tobytes())
+        p = PotentialField.random(g, seed)
+        digests[2].update(p.samples.tobytes())
+        digests[2].update(p.ddc.tobytes())
+    assert tuple(d.hexdigest()[:16] for d in digests) == OUTPUT_DIGESTS[shape]
+
+
+def test_grid_shares_one_legendre_memo():
+    f = np.ones((64, 128))
+    a, b = SphereGeometry(64), SphereGeometry(64)
+    assert a._memo is None and b._memo is None
+    a.laplacian(f)
+    assert b._memo is None
+    b.laplacian(f)
+    assert a._memo is b._memo and a._memo is not None
+    memo = weakref.ref(a._memo)
+    del a
+    assert memo() is b._memo
+    del b
+    assert memo() is None
+    # the nodes depend on n_theta, the blocks on lmax = min(n_theta - 1,
+    # n_psi / 2 - 1): 100 and 128 columns give lmax 49 and 63
+    c, d, e = (SphereGeometry(64, n) for n in (100, 128, 129))
+    for g in (c, d, e):
+        g.laplacian(np.ones(g.shape))
+    assert d._memo is e._memo and c._memo is not d._memo
+
+
+def test_memo_follows_block_length(monkeypatch):
+    # a memo built under one _BLOCK never serves another: the shared memo
+    # and the memo a geometry already holds are both looked up again
+    g = SphereGeometry(20)
+    g.laplacian(np.ones(g.shape))
+    before = g._memo
+    monkeypatch.setattr("heights.geometry._BLOCK", 5)
+    h = SphereGeometry(20)
+    h.laplacian(np.ones(h.shape))
+    assert h._memo is not before
+    assert [len(blocks) for _, blocks in h._memo] == [4, 1]
+    g.laplacian(np.ones(g.shape))
+    assert g._memo is h._memo
 
 
 @pytest.mark.parametrize("g, value", [(SPHERE, 2.0),
@@ -302,6 +390,15 @@ def test_torus_random_potential_matches_loop(n):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     lap = g.ddc(got)
     assert np.max(np.abs(ddc - lap)) <= 1e-13 * np.max(np.abs(lap))
+
+
+def test_random_potential_needs_the_grid_to_reach_degree_12():
+    # lmax = min(n_theta - 1, n_psi / 2 - 1) must reach the drawn degrees
+    for shape in [(12, 24), (13, 24), (8, 16)]:
+        with pytest.raises(ValidationError, match="band limit"):
+            PotentialField.random(SphereGeometry(*shape), 0)
+    assert PotentialField.random(SphereGeometry(13, 26), 0).samples.shape \
+        == (13, 26)
 
 
 # (geometry, bound on the stored ddc against the transform of the

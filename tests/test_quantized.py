@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from brute_force import p1_deg_hat_exact
 from heights import quantize
 from heights.energies import apply_metric_change
 from heights.errors import (ConventionMismatch, GeometryMismatch,
@@ -424,6 +425,24 @@ def test_deg_hat_table_matches_mpmath():
             want = float(-(s + (m + 1) * mpmath.log(m)) / 2)
             assert table[m - 1] == pytest.approx(want, rel=1e-13, abs=0)
             assert p1_deg_hat(m) == table[m - 1]
+
+
+def test_deg_hat_table_matches_exact_log_primes():
+    # a path with no log-gamma: deg_hat(m) as an exact sum of log p, in
+    # 40 digits.  The bounds are about twice the table's absolute error
+    # (3.1e-13, 2.6e-9 and 6.9e-9), which grows with the running sum
+    table = p1_deg_hat_table(2000)
+    with mpmath.workdps(40):
+        for m, bound in [(1, 1e-15), (2, 4e-15), (100, 6e-13),
+                         (1000, 5e-9), (2000, 1.4e-8)]:
+            exact = p1_deg_hat_exact(m)
+            assert exact.const_part == 0 and exact.real_part == 0.0
+            assert all((2 * c).denominator == 1
+                       for c in exact.log_terms.values())
+            want = mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator
+                               * mpmath.log(p)
+                               for p, c in exact.log_terms.items())
+            assert abs(table[m - 1] - want) <= bound
 
 
 def test_saved_p1_model_keeps_its_family(tmp_path):
