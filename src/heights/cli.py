@@ -13,16 +13,12 @@ import sys
 from fractions import Fraction
 
 from .errors import HeightsError, NumericError, ValidationError
-from .families import (BrieskornPhamSpec, EllipticCurveData,
-                       brieskorn_pham_analyze, build_p1_fs,
-                       build_p2_blowup_family, curve_from_label,
-                       curve_periods, faltings_from_periods,
-                       faltings_to_hk)
 from .heightvalue import HeightValue
 from .intersection import IntersectionModel
 
 # each subcommand imports what only it runs: functionals (compute),
-# numpy and the spectral modules (scan, balanced), mpmath (faltings)
+# numpy and the spectral modules (scan, balanced), mpmath (faltings), and
+# families where a family is built or bp or faltings runs
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC = 0, 2, 3
 
@@ -45,10 +41,16 @@ def _load_family(args):
         return IntersectionModel.load(args.model), None
     fam = getattr(args, "family", None)
     if fam in ("p1-fs", "p1"):
+        from .families import build_p1_fs
+
         return build_p1_fs(), None
     if fam == "p2-blowup":
-        primes = _parse_ints("--primes",
-                             getattr(args, "primes", None) or "2,3,5")
+        from .families import build_p2_blowup_family
+
+        primes = getattr(args, "primes", None)
+        primes = _parse_ints("--primes", "2,3,5" if primes is None else primes)
+        if not primes:
+            raise ValidationError("--primes: no prime given")
         pair = build_p2_blowup_family(primes)
         return pair.model, pair
     raise ValidationError(f"unknown family {fam!r}; pass --family or --model")
@@ -135,11 +137,13 @@ def run_compute(args) -> int:
 
 
 def run_scan(args) -> int:
-    from .quantize import dequantization_scan, hilbert_samuel_residual
-
     if args.m_max < 1:
         raise ValidationError("--m-max must be >= 1")
+    # the family (and the families module) before numpy: compiled after
+    # numpy's allocations, the module raised the peak RSS by 0.3-0.8 MB
     model, _ = _load_family(args)
+    from .quantize import dequantization_scan, hilbert_samuel_residual
+
     if args.kind == "dequantization":
         res = dequantization_scan(model, args.m_max)
         rows = [dict(zip(res.columns, r)) for r in res.table]
@@ -160,12 +164,12 @@ def run_scan(args) -> int:
 
 
 def run_balanced(args) -> int:
+    model, _ = _load_family(args)      # before numpy, as in run_scan
     import numpy as np
 
     from .geometry import SphereGeometry
     from .quantize import VOL_M_OMEGA, SectionGram, balanced_iterate, l2_gram
 
-    model, _ = _load_family(args)
     g0 = l2_gram(model.family, args.m, "fs", VOL_M_OMEGA)
     geometry = SphereGeometry(args.grid)
     if args.gram:
@@ -203,6 +207,8 @@ def run_balanced(args) -> int:
 
 
 def run_bp(args) -> int:
+    from .families import BrieskornPhamSpec, brieskorn_pham_analyze
+
     weights = _parse_ints("--weights", args.weights)
     spec = BrieskornPhamSpec(weights, args.prime)
     rep = brieskorn_pham_analyze(spec, j_max=args.degree_bound)
@@ -216,6 +222,9 @@ def run_bp(args) -> int:
 
 
 def run_faltings(args) -> int:
+    from .families import (EllipticCurveData, curve_from_label, curve_periods,
+                           faltings_from_periods, faltings_to_hk)
+
     if args.curve:
         E = curve_from_label(args.curve)
     elif args.a_invariants:

@@ -17,7 +17,7 @@ from ._frozen import FrozenValue
 from .errors import (BadTau, CoprimalityViolated, DuplicatePrime,
                      NonMinimalModel, NonPrimeLabel, ValidationError)
 from .heightvalue import HeightValue, ZERO, is_prime
-from .intersection import (DivisorClassId, FiberComponent, FormalSum,
+from .intersection import (DivisorClassId, FiberComponent,
                            IntersectionModel, ModelPair, SymmetricForm,
                            KIND_CANONICAL, KIND_POLARIZATION, KIND_VERTICAL)
 
@@ -55,22 +55,9 @@ def build_p1_fs(fiber_primes=(2, 3, 5)) -> IntersectionModel:
 
 # -- degree-8 del Pezzo family with fiberwise blow-downs ----------------
 
-def _blowup_primitive_form(primes, arity=3) -> SymmetricForm:
-    """Exact triple products over {Lb, Kb, F_p} from the toric rules:
-    pure-base and two-base monomials vanish, (Lb.F_p^2) = -log p,
-    (Kb.F_p^2) = +log p, (F_p^3) = +log p, distinct primes are disjoint."""
-    names = ["Lb", "Kb"] + [f"F{p}" for p in primes]
-    entries = {}
-    for key in itertools.combinations_with_replacement(sorted(names), arity):
-        entries[key] = ZERO
-    for p in primes:
-        f = f"F{p}"
-        lp = {p: Fraction(1)}
-        entries[tuple(sorted(("Lb", f, f)))] = HeightValue(
-            log_terms={p: Fraction(-1)})
-        entries[tuple(sorted(("Kb", f, f)))] = HeightValue(log_terms=lp)
-        entries[(f, f, f)] = HeightValue(log_terms=lp)
-    return SymmetricForm(arity, entries)
+# most primes a blow-up family takes: its joint form holds all C(P + 6, 3)
+# multisets of three of its P + 4 classes (54 740 entries at 64 primes)
+MAX_BLOWUP_PRIMES = 64
 
 
 def build_p2_blowup_family(primes=(2, 3, 5), twist: int = 2,
@@ -84,12 +71,14 @@ def build_p2_blowup_family(primes=(2, 3, 5), twist: int = 2,
     the independent toric fan computation.
     """
     primes = tuple(primes)
+    if len(primes) > MAX_BLOWUP_PRIMES:
+        raise ValidationError(f"{len(primes)} primes is over the limit of "
+                              f"{MAX_BLOWUP_PRIMES}")
     if len(set(primes)) != len(primes):
         raise DuplicatePrime(f"repeated primes in {primes}")
     t = int(twist)
     if t < 1:
         raise ValidationError("twist must be a positive integer")
-    prim = _blowup_primitive_form(primes)
 
     if validate:
         from .toric import blowup_family_oracle
@@ -114,26 +103,31 @@ def build_p2_blowup_family(primes=(2, 3, 5), twist: int = 2,
         L_class="L", K_class="K", deg_Ln=deg_Ln, deg_LK=deg_LK,
         fibers=base_fibers, generic_degrees={("K", "K"): Fraction(8)})
 
-    # blown-up model classes in primitive coordinates
-    fnames = [f"F{p}" for p in primes]
-    subs = {
-        "L": FormalSum("Lb") - FormalSum(
-            {f: Fraction(t) for f in fnames}),
-        "K": FormalSum("Kb") + FormalSum(
-            {f: Fraction(1) for f in fnames}),
-    }
-    for f in fnames:
-        subs[f] = FormalSum(f)
-
     # joint form over {L, K, F_p, L_base, K_base}; the blown-up model's
-    # entries are its restriction to the blown-up classes
+    # entries are its restriction to the blown-up classes.  Over Lb, Kb,
+    # F_p a name has gamma = [Kb] - [Lb] and F_p coefficients phi(p), one
+    # value at all p or, for F_q, 1 at q alone; the toric rules of
+    # docs/normalization.md give (a.b.c) = sum_p log p (gamma_a phi_b phi_c
+    # + gamma_b phi_a phi_c + gamma_c phi_a phi_b + phi_a phi_b phi_c)
+    fnames = [f"F{p}" for p in primes]
     blown_names = ["L", "K"] + fnames
-    subs["L_base"] = FormalSum("Lb")
-    subs["K_base"] = FormalSum("Kb")
     joint_names = blown_names + ["L_base", "K_base"]
+    slots = {"L": (-1, -t, None), "K": (1, 1, None),
+             "L_base": (-1, 0, None), "K_base": (1, 0, None)}
+    slots.update((f, (0, 1, p)) for f, p in zip(fnames, primes))
+
+    def entry(key):
+        (ga, fa, pa), (gb, fb, pb), (gc, fc, pc) = map(slots.get, key)
+        labels = {pa, pb, pc} - {None}
+        c = ga * fb * fc + gb * fa * fc + gc * fa * fb + fa * fb * fc
+        if len(labels) > 1 or not c:     # distinct primes are disjoint
+            return ZERO
+        return HeightValue._from_parts(
+            Fraction(0), dict.fromkeys(labels or primes, Fraction(c)), 0.0,
+            True)
+
     joint_entries = {
-        key: prim.pair(*(subs[nm] for nm in key))
-        for key in itertools.combinations_with_replacement(
+        key: entry(key) for key in itertools.combinations_with_replacement(
             sorted(joint_names), 3)}
     blown_entries = {
         key: joint_entries[key]

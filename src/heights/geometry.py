@@ -24,8 +24,8 @@ from .errors import ValidationError
 # alone takes ~4.6 s and ~290 MB; the weight grid is n_theta x n_psi)
 MAX_GRID = 4096
 # degrees k = l - m per block of the Legendre recurrence: its buffer holds
-# _BLOCK + 2 rows of _CHUNK orders by n_theta / 2 nodes (8.5 MB at
-# n_theta 512)
+# min(cap + 1, _BLOCK) + 2 rows of _CHUNK orders by n_theta / 2 nodes for
+# degree cap `cap` (8.5 MB for a whole transform at n_theta 512)
 _BLOCK = 256
 # orders m per chunk of the Legendre recurrence
 _CHUNK = 16
@@ -152,12 +152,12 @@ class SphereGeometry:
         (int_{-1}^{1} P^2 dx = 1) at the northern nodes for the i-th even
         and the i-th odd k of the block, zero where m + k > cap.  The
         recurrence walks k for the whole chunk at once in one buffer of
-        _BLOCK + 2 rows, whose first two rows carry degrees k0 - 2 and
-        k0 - 1 into each block, so even and odd are views that stay valid
-        only until the next block is asked for."""
+        min(cap + 1, _BLOCK) + 2 rows, whose first two rows carry degrees
+        k0 - 2 and k0 - 1 into each block, so even and odd are views that
+        stay valid only until the next block is asked for."""
         x = self.x[self._north]
         logs = np.log(1.0 - x * x)
-        buf = np.empty((_BLOCK + 2) * _CHUNK * x.size)
+        buf = np.empty((min(cap + 1, _BLOCK) + 2) * _CHUNK * x.size)
         scratch = np.empty((_CHUNK, x.size))      # b * P[k - 2]
 
         def blocks(m, K):

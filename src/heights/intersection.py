@@ -429,5 +429,6 @@ class ModelPair(FrozenValue):
 
 
 def _embeds_ok(a: HeightValue, b: HeightValue, tol: float = 1e-9) -> bool:
-    d = a - b
-    return d.const_part == 0 and not d.log_terms and abs(d.real_part) <= tol
+    # log_terms hold no zero coefficients, so equal dicts mean a zero a - b
+    return (a.const_part == b.const_part and a.log_terms == b.log_terms
+            and abs(a.real_part - b.real_part) <= tol)

@@ -4,7 +4,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from heights.heightvalue import HeightValue
+from heights.heightvalue import HeightValue, ZERO
+from heights.intersection import FormalSum, SymmetricForm
 
 
 def hypersurface_lengths(num_vars: int, degree: int, j_max: int):
@@ -49,3 +50,33 @@ def p1_deg_hat_exact(m: int) -> HeightValue:
             q *= p
         logs[p] = c
     return HeightValue(log_terms=logs).scale(Fraction(-1, 2))
+
+
+def blowup_primitive_form(primes, arity=3) -> SymmetricForm:
+    """Exact triple products over {Lb, Kb, F_p} from the toric rules:
+    pure-base and two-base monomials vanish, (Lb.F_p^2) = -log p,
+    (Kb.F_p^2) = +log p, (F_p^3) = +log p, distinct primes are disjoint."""
+    names = ["Lb", "Kb"] + [f"F{p}" for p in primes]
+    entries = {}
+    for key in itertools.combinations_with_replacement(sorted(names), arity):
+        entries[key] = ZERO
+    for p in primes:
+        f = f"F{p}"
+        lp = {p: Fraction(1)}
+        entries[tuple(sorted(("Lb", f, f)))] = HeightValue(
+            log_terms={p: Fraction(-1)})
+        entries[tuple(sorted(("Kb", f, f)))] = HeightValue(log_terms=lp)
+        entries[(f, f, f)] = HeightValue(log_terms=lp)
+    return SymmetricForm(arity, entries)
+
+
+def blowup_subs(primes, twist: int) -> dict:
+    """The blow-up family's joint class names in the primitive classes:
+    L = Lb - twist sum F_p, K = Kb + sum F_p, F_p, L_base = Lb and
+    K_base = Kb."""
+    fnames = [f"F{p}" for p in primes]
+    subs = {"L": FormalSum("Lb") - FormalSum({f: twist for f in fnames}),
+            "K": FormalSum("Kb") + FormalSum({f: 1 for f in fnames}),
+            "L_base": FormalSum("Lb"), "K_base": FormalSum("Kb")}
+    subs.update((f, FormalSum(f)) for f in fnames)
+    return subs

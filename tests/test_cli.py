@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from heights import cli, families, quantize
+from brute_force import primes_to
+from heights import families, quantize
 from heights.cli import main
 from heights.families import build_p1_fs
 
@@ -282,6 +283,24 @@ def test_compute_bad_primes_token_exits_2(capsys):
     assert code == 2 and "ValidationError" in err and "'x'" in err
 
 
+@pytest.mark.parametrize("primes", ["", ","], ids=["empty", "comma"])
+def test_compute_empty_primes_exits_2(capsys, primes):
+    code, out, err = run(["compute", "--family", "p2-blowup",
+                          "--primes", primes], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "ValidationError: --primes" in err
+
+
+def test_compute_primes_over_the_limit_exits_2(capsys):
+    primes = primes_to(1000)[:families.MAX_BLOWUP_PRIMES + 1]
+    start = time.perf_counter()
+    code, out, err = run(["compute", "--family", "p2-blowup", "--primes",
+                          ",".join(map(str, primes))], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert f"is over the limit of {families.MAX_BLOWUP_PRIMES}" in err
+
+
 def test_compute_pair_functionals(capsys):
     code, out, _ = run(["compute", "--family", "p2-blowup",
                         "--functional", "I,J", "--emit", "json"], capsys)
@@ -423,7 +442,6 @@ def test_faltings_computes_periods_once(monkeypatch, capsys):
     def counted(curve, *args, **kwargs):
         calls.append(curve)
         return periods(curve, *args, **kwargs)
-    monkeypatch.setattr(cli, "curve_periods", counted)
     monkeypatch.setattr(families, "curve_periods", counted)
     code, _, _ = run(["faltings", "--curve", "37a1", "--method", "both"],
                      capsys)

@@ -1,14 +1,16 @@
 """Family builders, the toric oracle, local analyzers and the elliptic
 height bridge."""
 
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from brute_force import hypersurface_lengths
+from brute_force import hypersurface_lengths, primes_to
 from heights import families, toric
 from heights.errors import (CoprimalityViolated, DuplicatePrime,
                             NonMinimalModel, NonPrimeLabel, OutsideCone,
@@ -24,6 +26,7 @@ from heights.functionals import (aubin_I_rel, aubin_J_rel,
                                  na_scalar_curvature,
                                  relative_modular_height)
 from heights.heightvalue import HeightValue
+from heights.intersection import SymmetricForm
 from heights.toric import (barycentric_log_discrepancy,
                            blowup_family_oracle, toric_log_discrepancy)
 
@@ -118,6 +121,69 @@ def test_blowup_fiber_degrees():
 def test_blowup_duplicate_prime_rejected():
     with pytest.raises(DuplicatePrime):
         build_p2_blowup_family((2, 2))
+
+
+# SHA-256 prefixes of the model, ref and joint-form JSON of the blow-up
+# family for twists 1, 2 and 3, recorded when the builder expanded every
+# joint entry through SymmetricForm.pair
+BLOWUP_DIGESTS = {
+    (2,): [("2c9e42182e66dd48", "99fda0733ab80c8f", "dd9398611eed39b4"),
+           ("f570c43b024ba10f", "99fda0733ab80c8f", "9ab5ed0fdafd62fa"),
+           ("93439ad6117f445f", "99fda0733ab80c8f", "77024338f9d9f8be")],
+    (2, 3, 5): [
+        ("39336a0748dadaae", "bb9647b0d86e738e", "359b655cf05baa6a"),
+        ("0f37676906883aac", "bb9647b0d86e738e", "a0e7c2517d026bc4"),
+        ("cd127c2d060fcc58", "bb9647b0d86e738e", "7fb31a561e5b2b6e")],
+    tuple(primes_to(37)): [
+        ("383ec969c259fedc", "5b1df7358aa79a71", "ef00b3bca218a2a8"),
+        ("25143ca2d2a6981a", "5b1df7358aa79a71", "1692de2277c6c405"),
+        ("fc5170ac5b76ccad", "5b1df7358aa79a71", "5a9c9fcf91073f12")],
+}
+
+
+@pytest.mark.parametrize("primes", list(BLOWUP_DIGESTS), ids=len)
+def test_blowup_json_is_bit_identical_to_recorded(primes):
+    def digest(obj):
+        return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+    for twist, want in enumerate(BLOWUP_DIGESTS[primes], start=1):
+        pair = build_p2_blowup_family(primes, twist=twist)
+        joint = {",".join(k): v.to_json()
+                 for k, v in sorted(pair.joint_form.entries.items())}
+        assert (digest(pair.model.to_json()), digest(pair.ref.to_json()),
+                digest(joint)) == want, twist
+
+
+def test_blowup_build_pairs_only_to_validate(monkeypatch):
+    # the four pairings of the toric check; no joint entry is expanded
+    calls = 0
+    real_pair = SymmetricForm.pair
+
+    def counting_pair(self, *combos):
+        nonlocal calls
+        calls += 1
+        return real_pair(self, *combos)
+
+    monkeypatch.setattr(SymmetricForm, "pair", counting_pair)
+    pair = build_p2_blowup_family(primes_to(173))
+    assert len(pair.model.fibers) == 40 and calls <= 4
+
+
+def test_blowup_primes_over_the_limit(monkeypatch):
+    primes = primes_to(1000)[:families.MAX_BLOWUP_PRIMES + 1]
+    pair = build_p2_blowup_family(primes[:-1], validate=False)
+    assert len(pair.joint_form.entries) == math.comb(
+        families.MAX_BLOWUP_PRIMES + 6, 3)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built past the limit")
+
+    # refused before any class, fiber or form is made
+    for name in ("DivisorClassId", "FiberComponent", "SymmetricForm"):
+        monkeypatch.setattr(families, name, unbuilt)
+    with pytest.raises(ValidationError, match="over the limit of "
+                       f"{families.MAX_BLOWUP_PRIMES}$"):
+        build_p2_blowup_family(primes)
 
 
 # -- toric discrepancies --------------------------------------------------

@@ -74,6 +74,7 @@ def _exact_cli_calls(tmp_path) -> list:
         (["compute", "--family", "p2-blowup", "--functional", "hk",
           "--relative-to", "base", "--emit", "json"], 0),
         (["validate", "--model", str(model)], 0),
+        (["compute", "--model", str(model), "--functional", "hk"], 0),
         (["bp", "--weights", "8,15,7", "--prime", "11"], 0),
         # error paths
         (["compute", "--family", "nope"], 2),
@@ -129,7 +130,7 @@ print(json.dumps([exact, faltings]))
 """)
     assert proc.returncode == 0, proc.stderr
     exact, faltings = json.loads(proc.stdout)
-    assert [code for code, _, _ in exact] == [0, 0, 0, 0, 2, 2, 2, 2, 2]
+    assert [code for code, _, _ in exact] == [0, 0, 0, 0, 0, 2, 2, 2, 2, 2]
     assert not any(np or mp for _, np, mp in exact), exact
     assert faltings[:2] == [0, False]
 
@@ -153,6 +154,8 @@ print(json.dumps([code, sorted(sys.modules)]))
         assert not {"dataclasses", "inspect", "typing"} & set(modules), argv
         if argv[0] in ("validate", "bp", "faltings"):
             assert "heights.functionals" not in modules, argv
+        if argv[0] == "validate" or "--model" in argv:
+            assert "heights.families" not in modules, argv
         if argv[:3] == ["compute", "--family", "p1-fs"]:
             assert "heights.toric" not in modules, argv
 

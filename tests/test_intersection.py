@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brute_force import blowup_primitive_form, blowup_subs
 from heights import heightvalue, intersection
 from heights.errors import (IncompleteJointForm, MissingGenericDegree,
                             NonPrimeLabel, UnknownComponent, UnknownPrime,
@@ -16,7 +17,7 @@ from heights.heightvalue import HeightValue, ZERO
 from heights.intersection import (DivisorClassId, FiberComponent, FormalSum,
                                   IntersectionModel, ModelPair, SymmetricForm,
                                   form_key)
-from heights.families import _blowup_primitive_form, build_p2_blowup_family
+from heights.families import build_p2_blowup_family
 from heights.functionals import (arakelov_calabi,
                                  component_twist_derivative,
                                  decomposition_check, modular_height,
@@ -133,22 +134,22 @@ def test_pair_reads_cancelled_monomials():
     assert not form.pair(plus, minus).real_exact
 
 
-@pytest.mark.parametrize("primes", [(2, 3, 5), (2, 3, 5, 7, 11, 13)])
+@pytest.mark.parametrize("primes", [
+    (2, 3, 5), (2, 3, 5, 7, 11, 13), (7,),
+    (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 1000000007)])
 def test_blowup_entries_match_product_expansion(primes):
-    t = 2
-    fs = [f"F{p}" for p in primes]
-    subs = {"L": FormalSum("Lb") - FormalSum({f: t for f in fs}),
-            "K": FormalSum("Kb") + FormalSum({f: 1 for f in fs}),
-            "L_base": FormalSum("Lb"), "K_base": FormalSum("Kb")}
-    subs.update({f: FormalSum(f) for f in fs})
-    prim = _blowup_primitive_form(primes)
-    pair = build_p2_blowup_family(primes, twist=t)
-    assert set(pair.joint_form.entries) == set(
-        itertools.combinations_with_replacement(sorted(subs), 3))
-    for key, val in pair.joint_form.entries.items():
-        assert val == pair_by_product(prim, *(subs[nm] for nm in key))
-    for key, val in pair.model.form.entries.items():
-        assert val == pair.joint_form.entries[key]
+    # the reference expands each joint name in the primitive classes and
+    # multiplies out the product of the three slots
+    prim = blowup_primitive_form(primes)
+    for twist in (1, 2, 3, 4):
+        subs = blowup_subs(primes, twist)
+        pair = build_p2_blowup_family(primes, twist=twist)
+        assert list(pair.joint_form.entries) == list(
+            itertools.combinations_with_replacement(sorted(subs), 3))
+        for key, val in pair.joint_form.entries.items():
+            assert val == pair_by_product(prim, *(subs[nm] for nm in key))
+        for key, val in pair.model.form.entries.items():
+            assert val == pair.joint_form.entries[key]
 
 
 def test_blowup_build_checks_few_labels(monkeypatch):

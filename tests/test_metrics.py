@@ -230,12 +230,14 @@ def test_laplacian_memory_is_bounded_at_grid_512():
     assert traced_peak(g.laplacian, f) < 14 * 2 ** 20
 
 
-@pytest.mark.parametrize("method, limit", [("synth_harmonics", 14),
+@pytest.mark.parametrize("method, limit", [("synth_harmonics", 9),
                                            ("random_potential", 18)])
 def test_synthesis_memory_is_bounded_at_grid_512(method, limit):
-    # the recurrence buffer (8.5 MB) is freed before the inverse FFT
-    # allocates its output: 12.3 and 16.4 MB measured, 16.2 and 24.3 MB
-    # when a view of a block outlives the chunk loop
+    # the recurrence buffer holds the 13 + 2 rows that degree cap 12 needs
+    # (0.5 MB) and is freed before the inverse FFT allocates its output:
+    # 8.1 and 16.1 MB measured; 12.3 and 16.4 MB with a buffer of
+    # _BLOCK + 2 rows (8.5 MB), 16.2 and 24.3 MB when a view of a block
+    # also outlives the chunk loop
     g = SphereGeometry(512)
     arg = ({(l, m): 0.1 for l in range(13) for m in range(-l, l + 1)}
            if method == "synth_harmonics" else np.random.default_rng(0))
