@@ -36,6 +36,13 @@ def _parse_ints(option: str, s: str):
     return tuple(out)
 
 
+def _parse_primes(s: str):
+    """--primes: at least one comma-separated integer."""
+    if primes := _parse_ints("--primes", s):
+        return primes
+    raise ValidationError("--primes: no prime given")
+
+
 def _load_family(args):
     if getattr(args, "model", None):
         return IntersectionModel.load(args.model), None
@@ -47,11 +54,7 @@ def _load_family(args):
     if fam == "p2-blowup":
         from .families import build_p2_blowup_family
 
-        primes = getattr(args, "primes", None)
-        primes = _parse_ints("--primes", "2,3,5" if primes is None else primes)
-        if not primes:
-            raise ValidationError("--primes: no prime given")
-        pair = build_p2_blowup_family(primes)
+        pair = build_p2_blowup_family(vars(args).get("primes") or (2, 3, 5))
         return pair.model, pair
     raise ValidationError(f"unknown family {fam!r}; pass --family or --model")
 
@@ -122,8 +125,7 @@ def run_compute(args) -> int:
             rows.append(_height_report(
                 "ndf", normalized_df(model, args.cover_degree)))
         elif fn == "calabi":
-            primes = _parse_ints("--primes", args.primes) if args.primes \
-                else sorted({f.prime for f in model.fibers})
+            primes = args.primes or sorted({f.prime for f in model.fibers})
             rows.append(_height_report(
                 "calabi", arakelov_calabi(model, primes, args.arch_term)))
         elif fn == "slope":
@@ -216,8 +218,7 @@ def run_bp(args) -> int:
            for k, v in rep.items()}
     out["log_discrepancies"] = {k: str(v)
                                 for k, v in rep["log_discrepancies"].items()}
-    json.dump(out, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    _emit(out, "json")
     return EXIT_OK
 
 
@@ -266,32 +267,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="height functionals on polarized integral models")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--family", default=None)
-        sp.add_argument("--model", default=None)
-        sp.add_argument("--emit", choices=("json", "csv", "table"),
-                        default="table")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", default=None)
+    family.add_argument("--model", default=None)
+    emit = argparse.ArgumentParser(add_help=False)
+    emit.add_argument("--emit", choices=("json", "csv", "table"),
+                      default="table")
 
-    c = sub.add_parser("compute", help="evaluate functionals")
-    add_common(c)
+    c = sub.add_parser("compute", parents=[family, emit],
+                       help="evaluate functionals")
     c.add_argument("--functional", default="hk")
-    c.add_argument("--primes", default=None)
+    c.add_argument("--primes", type=_parse_primes, default=None)
     c.add_argument("--prime", type=int, default=None)
     c.add_argument("--relative-to", default=None)
     c.add_argument("--cover-degree", type=int, default=1)
     c.add_argument("--arch-term", type=float, default=0.0)
     c.set_defaults(func=run_compute)
 
-    s = sub.add_parser("scan", help="dequantization / Hilbert-Samuel scans")
-    add_common(s)
+    s = sub.add_parser("scan", parents=[family, emit],
+                       help="dequantization / Hilbert-Samuel scans")
     s.add_argument("--kind", choices=("dequantization", "hilbert-samuel"),
                    default="dequantization")
     s.add_argument("--m-max", type=int, required=True)
     s.add_argument("--out", default=None)
     s.set_defaults(func=run_scan)
 
-    b = sub.add_parser("balanced", help="balanced-metric iteration")
-    add_common(b)
+    b = sub.add_parser("balanced", parents=[family, emit],
+                       help="balanced-metric iteration")
     b.add_argument("--m", type=int, default=5)
     b.add_argument("--gram", default=None,
                    help="JSON file with a starting Gram matrix")
@@ -309,28 +311,26 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--degree-bound", type=int, default=12)
     q.set_defaults(func=run_bp)
 
-    f = sub.add_parser("faltings", help="elliptic Faltings heights")
+    f = sub.add_parser("faltings", parents=[emit],
+                       help="elliptic Faltings heights")
     f.add_argument("--curve", default=None)
     f.add_argument("--a-invariants", default=None)
     f.add_argument("--delta-min", type=int, default=None)
     f.add_argument("--method", choices=("qexp", "agm", "both"),
                    default="both")
     f.add_argument("--polarization", type=int, default=None)
-    f.add_argument("--emit", choices=("json", "csv", "table"),
-                   default="table")
     f.set_defaults(func=run_faltings)
 
-    v = sub.add_parser("validate", help="load a model file and check invariants")
+    v = sub.add_parser("validate", parents=[emit],
+                       help="load a model file and check invariants")
     v.add_argument("--model", required=True)
-    v.add_argument("--emit", choices=("json", "csv", "table"),
-                   default="table")
     v.set_defaults(func=run_validate)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NumericError as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}",

@@ -26,9 +26,17 @@ def _hk_terms(m: IntersectionModel, L: FormalSum):
     return a, b, a.scale(-m.n * m.deg_LK) + b.scale((m.n + 1) * m.deg_Ln)
 
 
+def _hk(m: IntersectionModel, L: FormalSum, degree: int) -> HeightValue:
+    """The third value of _hk_terms over a nonzero degree: [K:Q] for h_K,
+    the cover degree for the normalized degree."""
+    if degree == 0:
+        raise ZeroCoverDegree("cover degree must be nonzero")
+    return _hk_terms(m, L)[2].scale(Fraction(1, degree))
+
+
 def modular_height(m: IntersectionModel) -> HeightValue:
     """h_K = (1/[K:Q]) * ( -n*deg_LK*(L^{n+1}) + (n+1)*deg_Ln*(L^n.K) )."""
-    return _hk_terms(m, m.L())[2].scale(Fraction(1, m.degree_KQ))
+    return _hk(m, m.L(), m.degree_KQ)
 
 
 def arakelov_energy(m: IntersectionModel) -> HeightValue:
@@ -115,18 +123,13 @@ def na_scalar_curvature(m: IntersectionModel, prime: int) -> dict:
 
 
 def normalized_df(m: IntersectionModel, cover_degree: int = 1) -> HeightValue:
-    if cover_degree == 0:
-        raise ZeroCoverDegree("cover degree must be nonzero")
-    return _hk_terms(m, m.L())[2].scale(Fraction(1, cover_degree))
+    return _hk(m, m.L(), cover_degree)
 
 
 def normalized_df_twisted(m: IntersectionModel, component_class: str,
                           eps: Fraction, cover_degree: int = 1) -> HeightValue:
     """normalized_df of the vertical twist L + eps*E, used by the e-grid tests."""
-    if cover_degree == 0:
-        raise ZeroCoverDegree("cover degree must be nonzero")
-    L = m.L() + FormalSum(component_class).scale(eps)
-    return _hk_terms(m, L)[2].scale(Fraction(1, cover_degree))
+    return _hk(m, m.L() + FormalSum(component_class).scale(eps), cover_degree)
 
 
 def component_twist_derivative(m: IntersectionModel, prime: int,
@@ -153,14 +156,9 @@ def component_twist_derivative(m: IntersectionModel, prime: int,
 
 
 def na_calabi(m: IntersectionModel, primes) -> Fraction:
-    total = Fraction(0)
-    for p in primes:
-        comps = [f for f in m.fibers if f.prime == p]
-        if not comps:
-            raise UnknownPrime(f"no fiber components at prime {p}")
-        for f in comps:
-            total += (f.deg_LK / f.deg_L) ** 2
-    return total
+    """Sum of (s^NA / n)^2 over the components at the given primes."""
+    return sum(((s / m.n) ** 2 for p in primes
+                for s in na_scalar_curvature(m, p).values()), Fraction(0))
 
 
 def arakelov_calabi(m: IntersectionModel, primes, arch_term: float) -> float:
@@ -174,7 +172,7 @@ def arakelov_calabi(m: IntersectionModel, primes, arch_term: float) -> float:
 
 
 def slope_semistability_test(tc: IntersectionModel) -> str:
-    """Compare -(n+1)(L^n.K)/(L^{n+1}) with -n*deg_LK/deg_Ln on a
+    """Compare -(n+1)(L^n.K)/(L^{n+1}) with Sbar = -n*deg_LK/deg_Ln on a
     geometric-base configuration (pure rational form entries)."""
     a, b, _ = _hk_terms(tc, tc.L())
     for v in (a, b):
@@ -184,7 +182,7 @@ def slope_semistability_test(tc: IntersectionModel) -> str:
     if a.const_part == 0:
         raise ZeroSelfIntersection("(L^{n+1}) = 0")
     lhs = Fraction(-(tc.n + 1)) * b.const_part / a.const_part
-    rhs = Fraction(-tc.n) * tc.deg_LK / tc.deg_Ln
+    rhs = tc.Sbar()
     if lhs == rhs:
         return "equality"
     return "stable-direction" if lhs < rhs else "violated"

@@ -55,18 +55,16 @@ def _parities(P, k0: int, nk: int):
             P[2 + (k0 + 1) % 2:nk + 2:2].transpose(1, 0, 2))
 
 
-def _eigen_sums(m0: int, blocks, halves):
-    """A laplacian chunk's synthesis sums (even, odd), [order, re/im,
-    node]: per block and parity, the analysis of that parity's weighted
-    half [order, node, re/im] of the rfft columns m0.., times -l(l+1),
-    synthesized while the block is in cache.  Summed over the blocks in
-    their order; no view of a block outlives the call."""
-    m = np.arange(m0, m0 + len(halves[0]))[:, None, None]
+def _block_sums(blocks, coef) -> list:
+    """A chunk's sums (even, odd) over its Legendre blocks (k0, even, odd):
+    for each block and parity p (0 even, 1 odd) with rows P [order, i,
+    node], coef(k0, p, P) @ P, where the first block writes and later
+    blocks add.  No view of a block outlives the call, so a streamed
+    recurrence buffer is freed before the caller's inverse FFT."""
     sums = [None, None]
     for k0, *parities in blocks:
-        for p, (P, half) in enumerate(zip(parities, halves)):
-            l = m + k0 + (k0 + p) % 2 + 2.0 * np.arange(P.shape[1])
-            part = (-l * (l + 1.0) * (P @ half).transpose(0, 2, 1)) @ P
+        for p, P in enumerate(parities):
+            part = coef(k0, p, P) @ P
             if sums[p] is None:
                 sums[p] = part
             else:
@@ -74,24 +72,15 @@ def _eigen_sums(m0: int, blocks, halves):
     return sums
 
 
-def _synthesis_sums(a: np.ndarray, m0: int, blocks) -> list:
-    """A chunk's synthesis sums (even, odd) of each field a[f] ([m, re/im,
-    l - m]), [order, re/im, node]: the first block's products write and
-    later blocks add.  No view of a block outlives the call, so the
-    recurrence buffer is freed before the inverse FFT."""
-    sums = None
-    for k0, even, odd in blocks:
-        rows = a[:, m0:m0 + even.shape[0], :,
-                 k0:k0 + even.shape[1] + odd.shape[1]]
-        parts = [(r[..., k0 % 2::2] @ even, r[..., (k0 + 1) % 2::2] @ odd)
-                 for r in rows]
-        if sums is None:
-            sums = parts
-            continue
-        for (e, o), (de, do) in zip(sums, parts):
-            e += de
-            o += do
-    return sums
+def _harmonic_array(l, m, c) -> np.ndarray:
+    """Coefficients c of the real harmonics (l, m), given as arrays with
+    |m| <= l (not checked here), as an array [|m|, m < 0, l - |m|]; the
+    sin branch (m < 0) enters as -c."""
+    cap = l.max(initial=0)
+    a = np.zeros((cap + 1, 2, cap + 1))
+    am = np.abs(m)
+    a[am, (m < 0).astype(int), l - am] += np.where(m >= 0, c, -c)
+    return a
 
 
 class SphereGeometry:
@@ -217,11 +206,14 @@ class SphereGeometry:
         return self._memo
 
     def _put(self, grid, m0: int, even, odd) -> None:
-        """Write a chunk's even and odd sums [order, re/im, node] into the
-        rfft columns m0.. of grid (complex values as real pairs)."""
-        cols = slice(m0, m0 + even.shape[0])
-        grid[self._north, cols] = (even + odd).transpose(2, 0, 1)
-        grid[self._south, cols] = (even - odd).transpose(2, 0, 1)
+        """Write a chunk's even and odd sums [..., order, re/im, node] into
+        the rfft columns m0.. of grid [..., node, column, re/im] (complex
+        values as real pairs)."""
+        cols = slice(m0, m0 + even.shape[-3])
+        grid[..., self._north, cols, :] = (
+            even + odd).swapaxes(-1, -3).swapaxes(-1, -2)
+        grid[..., self._south, cols, :] = (
+            even - odd).swapaxes(-1, -3).swapaxes(-1, -2)
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Laplace-Beltrami of the unit sphere (eigenvalues -l(l+1)):
@@ -239,28 +231,29 @@ class SphereGeometry:
             # [order, node, re/im]
             halves = [np.ascontiguousarray((w * g).T).view(float).reshape(
                 cols.stop - m0, -1, 2) for g in (north + south, north - south)]
-            self._put(grid, m0, *_eigen_sums(m0, blocks, halves))
+            m = np.arange(m0, cols.stop)[:, None, None]
+
+            def eigen(k0, p, P):
+                # the analysis of the parity's half, times -l(l+1)
+                l = m + k0 + (k0 + p) % 2 + 2.0 * np.arange(P.shape[1])
+                return -l * (l + 1.0) * (P @ halves[p]).transpose(0, 2, 1)
+
+            self._put(grid, m0, *_block_sums(blocks, eigen))
         return np.fft.irfft(fm, n=self.n_psi, axis=1)
 
     def ddc(self, u: np.ndarray) -> np.ndarray:
         # (i/2pi) del delbar u has density Delta_{S^2} u w.r.t. dA/(4pi)
         return self.laplacian(u)
 
-    def _harmonic_array(self, coeffs: dict) -> np.ndarray:
-        """coeffs of synth_harmonics as an array [m, re/im, l - m]."""
-        cap = max((l for l, _ in coeffs), default=0)
-        if cap > self.lmax or any(abs(m) > l for l, m in coeffs):
-            raise ValidationError("harmonic index beyond grid band limit")
-        a = np.zeros((cap + 1, 2, cap + 1))
-        for (l, m), c in coeffs.items():
-            a[abs(m), int(m < 0), l - abs(m)] += c if m >= 0 else -c
-        return a
-
     def synth_harmonics(self, coeffs: dict) -> np.ndarray:
         """Sum of real spherical harmonics; coeffs maps (l, m) -> float
         with 0 <= m <= l (cos branch for m >= 0 keyed (l, m), sin branch
         keyed (l, -m))."""
-        return self._synth_fields(self._harmonic_array(coeffs)[None])[0]
+        l, m = np.array(list(coeffs) or np.zeros((0, 2), int)).T
+        if l.max(initial=0) > self.lmax or (abs(m) > l).any():
+            raise ValidationError("harmonic index beyond grid band limit")
+        c = np.fromiter(coeffs.values(), float, len(coeffs))
+        return self._synth_fields(_harmonic_array(l, m, c)[None])[0]
 
     def _synth_fields(self, a: np.ndarray) -> np.ndarray:
         """Fields a[f] ([m, re/im, l - m], as in synth_harmonics) from one
@@ -269,8 +262,12 @@ class SphereGeometry:
         out = np.zeros((len(a), self.n_theta, self.n_psi // 2 + 1), complex)
         grids = out.view(float).reshape(len(a), self.n_theta, -1, 2)
         for m0, blocks in self._legendre_blocks(cap):
-            for grid, sums in zip(grids, _synthesis_sums(a, m0, blocks)):
-                self._put(grid, m0, *sums)
+            def rows(k0, p, P):
+                # the parity's coefficients [field, order, re/im, i]
+                k = k0 + (k0 + p) % 2
+                return a[:, m0:m0 + P.shape[0], :, k:k + 2 * P.shape[1]:2]
+
+            self._put(grids, m0, *_block_sums(blocks, rows))
         # irfft counts every order m > 0 twice, once for +m and once for
         # -m; the columns above cap are zero
         out[..., 1:cap + 1] /= 2.0
@@ -288,10 +285,7 @@ class SphereGeometry:
         j = np.arange(1, 169)
         deg = np.sqrt(j).astype(int)
         m = j - deg * deg - deg
-        c = rng.normal(size=j.size) / (1.0 + deg) ** 2
-        a = np.zeros((13, 2, 13))
-        a[abs(m), (m < 0).astype(int), deg - abs(m)] += np.where(m >= 0,
-                                                                  c, -c)
+        a = _harmonic_array(deg, m, rng.normal(size=j.size) / (1.0 + deg) ** 2)
         k = np.arange(len(a))
         l = k[:, None] + k                              # [m, l - m]
         samples, ddc = self._synth_fields(

@@ -205,6 +205,9 @@ class IntersectionModel(FrozenValue):
             raise ValidationError("form arity must equal n+1")
         if not form.is_total_over(names):
             raise IncompleteJointForm("form is not total over the class list")
+        if len({(f.prime, f.component_id) for f in fibers}) < len(fibers):
+            raise ValidationError(
+                "fiber component ids must be unique per prime")
         gd = {form_key(k): Fraction(v)
               for k, v in dict(generic_degrees or {}).items()}
         if family is not None and family not in FAMILY_GEOMETRY:
@@ -409,7 +412,7 @@ class ModelPair(FrozenValue):
                 if jkey not in joint_form.entries:
                     raise IncompleteJointForm(
                         f"joint form misses embedded monomial {jkey}")
-                if not _embeds_ok(joint_form.entries[jkey], val):
+                if not joint_form.entries[jkey].close_to(val, 1e-9):
                     raise ValidationError(
                         f"joint form disagrees with constituent on {jkey}")
         self.__dict__.update(model=model, ref=ref, joint_form=joint_form,
@@ -426,9 +429,3 @@ class ModelPair(FrozenValue):
 
     def rK(self) -> FormalSum:
         return FormalSum(self.ref_map[self.ref.K_class])
-
-
-def _embeds_ok(a: HeightValue, b: HeightValue, tol: float = 1e-9) -> bool:
-    # log_terms hold no zero coefficients, so equal dicts mean a zero a - b
-    return (a.const_part == b.const_part and a.log_terms == b.log_terms
-            and abs(a.real_part - b.real_part) <= tol)

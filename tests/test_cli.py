@@ -285,10 +285,12 @@ def test_compute_bad_primes_token_exits_2(capsys):
 
 @pytest.mark.parametrize("primes", ["", ","], ids=["empty", "comma"])
 def test_compute_empty_primes_exits_2(capsys, primes):
-    code, out, err = run(["compute", "--family", "p2-blowup",
-                          "--primes", primes], capsys)
-    assert code == 2 and out == "" and "Traceback" not in err
-    assert "ValidationError: --primes" in err
+    # calabi on p1-fs reads --primes too, not only the blow-up family
+    for argv in (["--family", "p2-blowup"],
+                 ["--family", "p1-fs", "--functional", "calabi"]):
+        code, out, err = run(["compute", *argv, "--primes", primes], capsys)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "ValidationError: --primes: no prime given" in err
 
 
 def test_compute_primes_over_the_limit_exits_2(capsys):

@@ -1,5 +1,8 @@
-"""The lazy package namespace and the numpy-free exact core."""
+"""The lazy package namespace, the numpy-free exact core and the
+package's private names."""
 
+import ast
+import collections
 import importlib
 import importlib.util
 import json
@@ -174,3 +177,26 @@ def test_benchmark_tracer_targets_resolve():
             assert hasattr(obj, attr), f"{modname}.{attr_path}"
             obj = getattr(obj, attr)
         assert callable(obj), f"{modname}.{attr_path}"
+
+
+def _names(node) -> collections.Counter:
+    """Names and attribute names anywhere under an AST node."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_module_name_is_used():
+    # no function that nothing calls: each module-level function or class
+    # named _x (dunders such as __getattr__ aside) is referenced in the
+    # package outside its own definition
+    src = Path(heights.__file__).resolve().parent
+    trees = [ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))]
+    used = sum((_names(tree) for tree in trees), collections.Counter())
+    unused = [
+        node.name for tree in trees for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and used[node.name] == _names(node)[node.name]]
+    assert unused == []

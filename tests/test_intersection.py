@@ -188,6 +188,15 @@ def test_fiber_component_validation():
         FiberComponent(2, "c", Fraction(0), Fraction(1))
     with pytest.raises(NonPrimeLabel):
         FiberComponent(4, "c", Fraction(1), Fraction(1))
+    # a prime's components are keyed by id (na_scalar_curvature, and so
+    # na_calabi), so an id may occur once per prime
+    obj = simple_model().to_json()
+    obj["fibers"] = [{"prime": 3, "component_id": "c", "deg_L": "1",
+                      "deg_LK": dk} for dk in ("-2", "-3")]
+    with pytest.raises(ValidationError, match="unique per prime"):
+        IntersectionModel.from_json(obj)
+    obj["fibers"][1]["prime"] = 5
+    assert len(IntersectionModel.from_json(obj).fibers) == 2
 
 
 def test_modular_height_formula():
@@ -331,9 +340,12 @@ def test_rescale_metric_const_preserves_hk():
 
 
 def test_cover_degree_zero_rejected():
-    m = simple_model()
-    with pytest.raises(ZeroCoverDegree):
-        normalized_df(m, 0)
+    m = two_component_model()
+    for call in (lambda: normalized_df(m, 0),
+                 lambda: normalized_df_twisted(m, "E1", Fraction(1, 2), 0),
+                 lambda: component_twist_derivative(m, 7, "c1", 0)):
+        with pytest.raises(ZeroCoverDegree):
+            call()
 
 
 def two_component_model(dL=(2, 3), dK=(-1, -4), prime=7):
@@ -373,6 +385,12 @@ def test_na_scalar_curvature_per_component():
 def test_na_calabi_sum():
     m = two_component_model()
     assert na_calabi(m, [7]) == Fraction(1, 4) + Fraction(16, 9)
+    # n = 2: each blow-up fiber adds 25/64
+    m = build_p2_blowup_family((2, 3, 5)).model
+    assert na_calabi(m, [2, 3]) == Fraction(25, 32)
+    assert na_calabi(m, []) == Fraction(0)
+    with pytest.raises(UnknownPrime):
+        na_calabi(m, [7])
 
 
 def test_twist_derivative_matches_eps_grid():
@@ -420,6 +438,19 @@ def test_model_pair_rejects_mismatched_joint_form():
     with pytest.raises(ValidationError):
         ModelPair(model=m, ref=ref, joint_form=joint,
                   ref_map={"L": "Lr", "K": "Kr"})
+
+
+@pytest.mark.parametrize("off, ok", [(5e-10, True), (2e-9, False)])
+def test_model_pair_tolerates_real_drift_up_to_1e_9(off, ok):
+    m = simple_model()
+    entries = dict(m.form.entries)
+    entries[("L", "L")] = entries[("L", "L")].shift_real(off)
+    joint = SymmetricForm(2, entries)
+    if ok:
+        ModelPair(model=m, ref=m, joint_form=joint)
+    else:
+        with pytest.raises(ValidationError, match="disagrees"):
+            ModelPair(model=m, ref=m, joint_form=joint)
 
 
 def test_relative_height_needs_same_generic_fiber():

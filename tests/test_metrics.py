@@ -112,8 +112,11 @@ def test_synth_harmonics_matches_outer_products():
             want += c * np.outer(P, ang)
         got = g.synth_harmonics(coeffs)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    with pytest.raises(ValidationError):
-        SPHERE.synth_harmonics({(2, 3): 1.0})
+    assert np.array_equal(SPHERE.synth_harmonics({}),
+                          np.zeros(SPHERE.shape))
+    for bad in ({(2, 3): 1.0}, {(2, -3): 1.0}):
+        with pytest.raises(ValidationError):
+            SPHERE.synth_harmonics(bad)
 
 
 def rfft_laplacian_reference(g, f):
