@@ -32,12 +32,9 @@ def entropy(phi: PotentialField) -> float:
     return phi.int_log_omega_phi
 
 
-def k_energy(phi: PotentialField, Sbar: float | None = None) -> float:
+def k_energy(phi: PotentialField) -> float:
     g = phi.geometry
-    if Sbar is None:
-        Sbar = g.default_Sbar
-    n = 1
-    return (Sbar / (n + 1)) * am_energy(phi) - ricci_energy(phi) \
+    return (g.default_Sbar / 2) * am_energy(phi) - ricci_energy(phi) \
         + entropy(phi) / g.V
 
 
@@ -141,7 +138,7 @@ def metric_model_pair(model, phi: PotentialField):
         model_map={Lk: Lk, Kk: Kk}, ref_map={Lk: L0, Kk: K0})
 
 
-def cubic_identity_check(torus, d: int | None = None):
+def cubic_identity_check(torus):
     """Both sides of the flat-torus pairing identity for alpha = dz.
 
     lhs averages the pointwise ratio n! (i/2)^n alpha wedge bar(alpha) /
@@ -151,8 +148,7 @@ def cubic_identity_check(torus, d: int | None = None):
     """
     if torus.kind != "torus":
         raise ValidationError("cubic identity check needs a torus fiber")
-    if d is None:
-        d = torus.degree
+    d = torus.degree
     area = torus.tau.imag
     # omega = (i/2) g dz wedge dbar z with g = d/area; alpha = dz
     gdens = d / area

@@ -30,7 +30,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 # -- the projective line with the Fubini-Study metric ------------------
 
-def build_p1_fs(fiber_primes=(2, 3, 5)) -> IntersectionModel:
+def build_p1_fs() -> IntersectionModel:
     """O(1) on the projective line over Z with the mass-1 FS metric.
 
     The three form entries are closed forms: (L.L) = 1/2 exactly,
@@ -46,7 +46,7 @@ def build_p1_fs(fiber_primes=(2, 3, 5)) -> IntersectionModel:
                                 real_part=-2.0 * LOG_2PI, real_exact=False),
     })
     fibers = tuple(FiberComponent(p, "fiber", Fraction(1), Fraction(-2))
-                   for p in fiber_primes)
+                   for p in (2, 3, 5))
     return IntersectionModel(
         n=1, degree_KQ=1, classes=(L, K), form=form,
         L_class="L", K_class="K", deg_Ln=Fraction(1), deg_LK=Fraction(-2),
@@ -84,9 +84,9 @@ def build_p2_blowup_family(primes=(2, 3, 5), twist: int = 2,
         from .toric import blowup_family_oracle
 
         orc = blowup_family_oracle(t)
-        assert orc["piL2_F"] == 0 and orc["piL_F2"] == -1
-        assert orc["F3"] == 1 and orc["piK_F2"] == 1
-        assert orc["piL_piK_F"] == 0 and orc["piK2_F"] == 0
+        rule = dict(piL2_F=0, piL_F2=-1, F3=1, piK_F2=1, piL_piK_F=0, piK2_F=0)
+        if broken := rule.items() - orc.items():
+            raise ValidationError(f"toric oracle breaks the rules {broken}")
 
     deg_Ln, deg_LK, n = Fraction(8), Fraction(-8), 2
 
@@ -368,16 +368,16 @@ def curve_from_label(label: str) -> EllipticCurveData:
     return EllipticCurveData(a, d)
 
 
-def curve_periods(curve: EllipticCurveData, prec: int = 50) -> dict:
-    """Period lattice of the Neron differential via the AGM.
+def curve_periods(curve: EllipticCurveData) -> dict:
+    """Period lattice of the Neron differential via the AGM at 50 digits.
 
     Returns omega1 (real > 0), omega2, tau = omega2/omega1 in the upper
-    half plane and the covolume |Im(conj(omega1) * omega2)|.
+    half plane, unreduced, and the covolume |Im(conj(omega1) * omega2)|.
     """
     import mpmath   # the only user; the exact paths never load it
 
     b2, b4, b6, _ = curve.b_invariants()
-    with mpmath.workdps(prec):
+    with mpmath.workdps(50):
         roots = mpmath.polyroots([4, b2, 2 * b4, b6], maxsteps=200,
                                  extraprec=80)
         disc = curve.delta_min
@@ -407,31 +407,26 @@ def curve_periods(curve: EllipticCurveData, prec: int = 50) -> dict:
         }
 
 
-def dedekind_eta(tau: complex, terms: int = 80) -> complex:
+def dedekind_eta(tau: complex) -> complex:
+    """eta(tau) by 12 q-product factors: exact where Im(tau) >= sqrt(3)/2."""
     if tau.imag <= 0:
         raise BadTau("eta needs Im(tau) > 0")
     q = cmath.exp(2j * math.pi * tau)
-    prod = 1.0 + 0j
-    for k in range(1, terms + 1):
-        prod *= 1.0 - q ** k
+    prod = math.prod(1.0 - q ** k for k in range(1, 13))
     return cmath.exp(2j * math.pi * tau / 24.0) * prod
 
 
 def elliptic_faltings_height(curve: EllipticCurveData,
-                             method: str = "qexp",
-                             eta_terms: int = 80) -> float:
-    """Faltings height of E/Q from the minimal model; the arguments are
+                             method: str = "qexp") -> float:
+    """Faltings height of E/Q from the minimal model; the method is
     checked before the periods are computed."""
     if method not in ("qexp", "agm"):
         raise ValidationError(f"unknown method {method!r}")
-    if method == "qexp" and eta_terms < 50:
-        raise ValidationError("eta product needs at least 50 terms")
-    return faltings_from_periods(curve, curve_periods(curve), method,
-                                 eta_terms)
+    return faltings_from_periods(curve, curve_periods(curve), method)
 
 
-def faltings_from_periods(curve: EllipticCurveData, per: dict, method: str,
-                          eta_terms: int = 80) -> float:
+def faltings_from_periods(curve: EllipticCurveData, per: dict,
+                          method: str) -> float:
     """Faltings height from the minimal model and its curve_periods.
 
     qexp: (1/12) log|delta_min| - log(2 pi) - 2 log|eta(tau)|
@@ -439,11 +434,13 @@ def faltings_from_periods(curve: EllipticCurveData, per: dict, method: str,
     """
     if method == "agm":
         return -0.5 * math.log(per["area"])
-    tau = per["tau"]
-    # shift into |Re| <= 1/2 for fast q-convergence (eta transforms by a
-    # phase under tau -> tau + 1, harmless inside log| |)
-    tau = complex(tau.real - round(tau.real), tau.imag)
-    eta = dedekind_eta(tau, eta_terms)
+    # Im(tau)^(1/2) |eta(tau)|^2 is SL2(Z)-invariant: reduce tau to
+    # |Re tau| <= 1/2, |tau| >= 1, less a margin so rounding cannot cycle
+    tau = per["tau"] - round(per["tau"].real)
+    while 0 < tau.imag and abs(tau) < 1.0 - 1e-12:
+        tau = -1.0 / tau
+        tau -= round(tau.real)
+    eta = dedekind_eta(tau)
     return (math.log(abs(curve.delta_min)) / 12.0 - LOG_2PI
             - 2.0 * math.log(abs(eta)) - 0.5 * math.log(tau.imag))
 

@@ -97,7 +97,7 @@ def aubin_J_rel(pair: ModelPair) -> HeightValue:
     return (a - (b - c).scale(Fraction(1, n + 1))).scale(Fraction(1, d))
 
 
-def decomposition_check(pair: ModelPair, Sbar: Fraction | None = None):
+def decomposition_check(pair: ModelPair):
     """Both sides of the decomposition of h_K(model) - h_K(ref).
 
     rhs = (n+1)*deg_Ln * [ (Sbar/(n+1))*E - E^{Ric} + Ent ] with the
@@ -105,10 +105,8 @@ def decomposition_check(pair: ModelPair, Sbar: Fraction | None = None):
     exactness of the identity (docs/normalization.md).
     """
     m = pair.model
-    if Sbar is None:
-        Sbar = m.Sbar()
     lhs = relative_modular_height(m, pair.ref)
-    inner = (_pair_energy(pair).scale(Fraction(Sbar) / (m.n + 1))
+    inner = (_pair_energy(pair).scale(m.Sbar() / (m.n + 1))
              - ricci_energy_rel(pair) + entropy_rel(pair))
     rhs = inner.scale((m.n + 1) * m.deg_Ln)
     return lhs, rhs
@@ -214,7 +212,7 @@ def twist_by_base_divisor(m: IntersectionModel,
             raise NonPrimeLabel(f"base divisor label {p} is not prime")
     T = HeightValue._from_parts(
         Fraction(0), {int(p): Fraction(c) for p, c in D.items()}, 0.0, True)
-    if T.is_zero(0.0):
+    if T.is_zero():
         return m
     return m.replace_form({key: val + T.scale(k_l * gd)
                            for key, val, k_l, gd in _l_slots(m)})

@@ -249,9 +249,14 @@ class SphereGeometry:
         """Sum of real spherical harmonics; coeffs maps (l, m) -> float
         with 0 <= m <= l (cos branch for m >= 0 keyed (l, m), sin branch
         keyed (l, -m))."""
-        l, m = np.array(list(coeffs) or np.zeros((0, 2), int)).T
-        if l.max(initial=0) > self.lmax or (abs(m) > l).any():
-            raise ValidationError("harmonic index beyond grid band limit")
+        ints = (int, np.integer)
+        for key in coeffs:
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and isinstance(key[0], ints) and isinstance(key[1], ints)):
+                raise ValidationError(f"harmonic key {key!r} is not (l, m)")
+            if not abs(key[1]) <= key[0] <= self.lmax:
+                raise ValidationError("harmonic index beyond grid band limit")
+        l, m = np.array(list(coeffs) or np.zeros((0, 2)), int).T
         c = np.fromiter(coeffs.values(), float, len(coeffs))
         return self._synth_fields(_harmonic_array(l, m, c)[None])[0]
 

@@ -199,9 +199,9 @@ class HeightValue(FrozenValue):
             raise NumericError("height value is outside the float range")
         return total
 
-    def is_zero(self, real_tol: float = 1e-12) -> bool:
+    def is_zero(self) -> bool:
         return (self.const_part == 0 and not self.log_terms
-                and abs(self.real_part) <= real_tol)
+                and self.real_part == 0)
 
     def exact_eq(self, other: "HeightValue") -> bool:
         """Exact equality of the exact parts; requires both remainders exact."""

@@ -138,18 +138,21 @@ def save_potential_csv(field: PotentialField, path):
 
 def load_potential_csv(path) -> PotentialField:
     with open(path) as fh:
-        header = fh.readline()
+        header = fh.readline().rstrip()
         if not header.startswith("#"):
             raise ValidationError("potential CSV must start with a header row")
-        parts = [p.strip() for p in header[1:].split(",")]
-        if parts[0] == "sphere":
-            geom = make_geometry("sphere", n_theta=int(parts[1]),
-                                 n_psi=int(parts[2]))
-        elif parts[0] == "torus":
-            geom = make_geometry(
-                "torus", n=int(parts[1]), degree=int(parts[2]),
-                tau=complex(float(parts[3]), float(parts[4])))
-        else:
-            raise ValidationError(f"unknown geometry {parts[0]!r}")
+        kind, *vals = [p.strip() for p in header[1:].split(",")]
+        try:
+            if kind == "sphere":
+                n_theta, n_psi = map(int, vals)
+                geom = make_geometry(kind, n_theta=n_theta, n_psi=n_psi)
+            elif kind == "torus":
+                n, degree, re, im = vals
+                geom = make_geometry(kind, n=int(n), degree=int(degree),
+                                     tau=complex(float(re), float(im)))
+            else:
+                raise ValidationError(f"unknown geometry {kind!r}")
+        except ValueError:
+            raise ValidationError(f"malformed CSV header {header!r}") from None
         data = np.loadtxt(fh, delimiter=",")
     return PotentialField(geom, data)

@@ -282,7 +282,7 @@ def test_criterion_12_twist_derivative_coupling():
                     for e in (-eps, Fraction(0), eps)]
             central = (grid[2] - grid[0]).scale(Fraction(1, 2) / eps)
             assert central.exact_eq(d)
-            vanish = vanish and d.is_zero(0.0)
+            vanish = vanish and d.is_zero()
         assert vanish == constant
     report(12, "twist derivative vanishes iff S^{nA} constant "
                "(10 synthetic models, eps-grid checked)")

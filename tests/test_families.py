@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from brute_force import hypersurface_lengths, primes_to
 from heights import families, toric
@@ -20,7 +21,8 @@ from heights.families import (BrieskornPhamSpec, CongruenceSemigroup,
                               build_p1_fs, build_p2_blowup_family,
                               curve_from_label, curve_periods,
                               dedekind_eta, elliptic_faltings_height,
-                              faltings_to_hk, multiplicity_from_lengths)
+                              faltings_from_periods, faltings_to_hk,
+                              multiplicity_from_lengths)
 from heights.functionals import (aubin_I_rel, aubin_J_rel,
                                  decomposition_check, modular_height,
                                  na_scalar_curvature,
@@ -99,10 +101,20 @@ def test_validated_builds_compute_the_fan_once(monkeypatch):
     assert len(fans) == 1
 
 
+def test_blowup_build_refuses_an_oracle_that_breaks_a_rule(monkeypatch):
+    # (F^3) = 2 leaves the oracle's changes of (L^3) and (L^2.K) alone,
+    # so only the check of the six per-prime rules can see it
+    real = blowup_family_oracle(2)
+    monkeypatch.setattr(toric, "blowup_family_oracle",
+                        lambda t: {**real, "F3": 2})
+    with pytest.raises(ValidationError, match="F3"):
+        build_p2_blowup_family((2, 3, 5))
+
+
 def test_blowup_decomposition_and_aubin():
     pair = build_p2_blowup_family((2, 5))
     lhs, rhs = decomposition_check(pair)
-    assert (lhs - rhs).is_zero(0.0)
+    assert (lhs - rhs).is_zero()
     I = aubin_I_rel(pair)
     J = aubin_J_rel(pair)
     assert I.log_terms == {2: Fraction(16), 5: Fraction(16)}
@@ -412,13 +424,36 @@ def test_eta_terms_guard(monkeypatch):
     # bad arguments fail before the 50-digit period computation
     monkeypatch.setattr(families, "curve_periods",
                         lambda *a, **k: pytest.fail("periods computed"))
-    with pytest.raises(ValidationError):
-        elliptic_faltings_height(E, "qexp", eta_terms=10)
     with pytest.raises(ValidationError, match="unknown method"):
         elliptic_faltings_height(E, "lattice")
     from heights.errors import BadTau
     with pytest.raises(BadTau):
         dedekind_eta(1 - 2j)
+
+
+def _discriminant(a):
+    """Discriminant of the Weierstrass model with a-invariants a."""
+    probe = object.__new__(EllipticCurveData)
+    probe.__dict__["a_invariants"] = a
+    return probe.discriminant()
+
+
+# y^2 = x(x - 1)(x + N) for N from 2 to 10^60, spread over its digit
+# counts (Im tau falls to 0.022 at 1e60), and small random models
+LEGENDRE = st.integers(1, 60).flatmap(lambda e: st.integers(2, 10 ** e)).map(
+    lambda N: (0, N - 1, 0, -N, 0))
+SMALL = st.tuples(*[st.integers(-50, 50)] * 5)
+
+
+@given(st.one_of(LEGENDRE, SMALL))
+@settings(max_examples=200, deadline=None)
+def test_qexp_and_agm_agree(a):
+    disc = _discriminant(a)
+    assume(disc != 0)
+    E = EllipticCurveData(a, disc)
+    per = curve_periods(E)
+    assert abs(faltings_from_periods(E, per, "qexp")
+               - faltings_from_periods(E, per, "agm")) <= 1e-12
 
 
 def test_faltings_bridge_formula():

@@ -163,6 +163,21 @@ print(json.dumps([code, sorted(sys.modules)]))
             assert "heights.toric" not in modules, argv
 
 
+def test_blowup_checks_hold_under_optimize():
+    # python -O strips assert statements, so a check of the toric oracle
+    # written as one would let the second child exit 0
+    build = "heights.build_p2_blowup_family((2, 3, 5))"
+    good = _python(f"import heights; {build}", "-O")
+    assert good.returncode == 0, good.stderr
+    bad = _python(f"""
+import heights, heights.toric as toric
+real = toric.blowup_family_oracle(2)
+toric.blowup_family_oracle = lambda t: {{**real, "F3": 2}}
+{build}
+""", "-O")
+    assert bad.returncode != 0 and "ValidationError" in bad.stderr
+
+
 def test_benchmark_tracer_targets_resolve():
     # perfbench/tracing.py wraps these names; one that is renamed or
     # deleted would break a traced benchmark run

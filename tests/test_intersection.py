@@ -408,9 +408,9 @@ def test_twist_derivative_matches_eps_grid():
 def test_twist_derivative_vanishes_iff_constant_snA():
     flat = two_component_model(dL=(2, 3), dK=(-4, -6))   # S = 2 on both
     for comp in ("c1", "c2"):
-        assert component_twist_derivative(flat, 7, comp).is_zero(0.0)
+        assert component_twist_derivative(flat, 7, comp).is_zero()
     bent = two_component_model(dL=(2, 3), dK=(-4, -5))
-    assert not all(component_twist_derivative(bent, 7, c).is_zero(0.0)
+    assert not all(component_twist_derivative(bent, 7, c).is_zero()
                    for c in ("c1", "c2"))
 
 

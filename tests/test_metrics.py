@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -117,6 +118,11 @@ def test_synth_harmonics_matches_outer_products():
     for bad in ({(2, 3): 1.0}, {(2, -3): 1.0}):
         with pytest.raises(ValidationError):
             SPHERE.synth_harmonics(bad)
+    with pytest.raises(ValidationError, match=r"key \(2\.0, 1\)"):
+        SphereGeometry(16).synth_harmonics({(2.0, 1): 1.0})
+    assert np.array_equal(
+        SPHERE.synth_harmonics({(np.int64(3), np.int32(-2)): 0.5}),
+        SPHERE.synth_harmonics({(3, -2): 0.5}))
 
 
 def rfft_laplacian_reference(g, f):
@@ -689,6 +695,14 @@ def test_potential_csv_roundtrip(tmp_path):
     back = load_potential_csv(r)
     assert back.geometry.shape == (16, 33)
     assert np.max(np.abs(back.samples - odd.samples)) < 1e-12
+
+
+def test_potential_csv_refuses_malformed_headers(tmp_path):
+    p = tmp_path / "bad.csv"
+    for header in ("# sphere,abc", "# sphere", "# torus,4,1,0.0"):
+        p.write_text(header + "\n0\n")
+        with pytest.raises(ValidationError, match=re.escape(repr(header))):
+            load_potential_csv(p)
 
 
 def test_geometry_rejects_bad_sizes():
