@@ -1,8 +1,8 @@
 """Exact and numerical height functionals on polarized integral models.
 
 The package namespace is lazy (PEP 562): each public name is looked up
-in its defining module on access, so the exact modules load without
-numpy or mpmath until a numerical name is used.
+in its defining module on access, so the exact modules, and the scans,
+load without numpy or mpmath until a name that needs them is used.
 """
 
 from importlib import import_module
@@ -32,9 +32,9 @@ _EXPORTS = {
                  "ricci_energy", "scalar_curvature_l2"),
     "quantize": ("SectionGram", "arithmetic_degree", "balanced_iterate",
                  "balanced_step", "bergman_density", "chow_height",
-                 "dequantization_scan", "extended_chow_height",
-                 "fubini_study_of", "hilbert_samuel_residual", "l2_gram",
-                 "l2_gram_quadrature", "p1_deg_hat"),
+                 "extended_chow_height", "fubini_study_of", "l2_gram",
+                 "l2_gram_quadrature"),
+    "scans": ("dequantization_scan", "hilbert_samuel_residual", "p1_deg_hat"),
     "toric": ("ToricThreefold", "barycentric_log_discrepancy",
               "blowup_family_oracle", "toric_log_discrepancy"),
     "families": ("BrieskornPhamSpec", "EllipticCurveData",

@@ -17,8 +17,8 @@ from .heightvalue import HeightValue
 from .intersection import IntersectionModel
 
 # each subcommand imports what only it runs: functionals (compute),
-# numpy and the spectral modules (scan, balanced), mpmath (faltings), and
-# families where a family is built or bp or faltings runs
+# scans (scan), numpy and the spectral modules (balanced), mpmath
+# (faltings), and families where a family is built or bp or faltings runs
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC = 0, 2, 3
 
@@ -141,10 +141,8 @@ def run_compute(args) -> int:
 def run_scan(args) -> int:
     if args.m_max < 1:
         raise ValidationError("--m-max must be >= 1")
-    # the family (and the families module) before numpy: compiled after
-    # numpy's allocations, the module raised the peak RSS by 0.3-0.8 MB
     model, _ = _load_family(args)
-    from .quantize import dequantization_scan, hilbert_samuel_residual
+    from .scans import dequantization_scan, hilbert_samuel_residual
 
     if args.kind == "dequantization":
         res = dequantization_scan(model, args.m_max)
@@ -166,7 +164,9 @@ def run_scan(args) -> int:
 
 
 def run_balanced(args) -> int:
-    model, _ = _load_family(args)      # before numpy, as in run_scan
+    # the family (and the families module) before numpy: compiled after
+    # numpy's allocations, the module raised the peak RSS by 0.3-0.8 MB
+    model, _ = _load_family(args)
     import numpy as np
 
     from .geometry import SphereGeometry

@@ -1,9 +1,10 @@
-"""Quantized heights: section Grams, arithmetic degrees, Chow heights,
-balanced iteration and the dequantization / Hilbert-Samuel scans.
+"""Quantized heights: section Grams, arithmetic degrees, Chow heights
+and balanced iteration.
 
 v1 supports the P^1_Z / Fubini-Study family end to end: the closed-form
 Grams and arithmetic degrees below are its, and `l2_gram` and the scans
-refuse any other `family` id (see `intersection.FAMILY_GEOMETRY`).
+(`heights.scans`) refuse any other `family` id (see
+`intersection.FAMILY_GEOMETRY`).
 """
 
 from __future__ import annotations
@@ -16,26 +17,15 @@ from ._frozen import FrozenValue
 from .errors import (ConventionMismatch, NonPositiveDefinite,
                      NumericError, UnsupportedFamily, ValidationError)
 from .geometry import SphereGeometry
-from .intersection import FAMILY_GEOMETRY
-
-VOL_OMEGA = "omega"
-VOL_M_OMEGA = "m-omega"
+# the two scans are not used here: the benchmark's tracer and its tests
+# look them up under this module
+from .scans import (VOL_M_OMEGA, VOL_OMEGA, _check_family, _check_m, _chow,
+                    _top_power, dequantization_scan, hilbert_samuel_residual)
 
 # largest tensor power m of a section Gram: the closed-form Gram holds
 # (m+1)^2 floats (8 MB at 1000) and a balanced step's section jet
 # 2 (m+1) n_theta (65 MB at grid 4096)
 MAX_GRAM_M = 1000
-# largest m_max of a scan or deg_hat table, which keeps a Python row per
-# m (`scan --m-max 100000` takes 0.7 s and 72 MB of memory on 2 CPUs)
-MAX_SCAN_M = 100_000
-
-
-def _check_m(name: str, m: int, cap: int) -> None:
-    """1 <= m <= cap, checked before anything of size m is allocated."""
-    if m < 1:
-        raise ValidationError(f"{name} must be >= 1")
-    if m > cap:
-        raise ValidationError(f"{name} = {m} is over the limit of {cap}")
 
 
 class SectionGram(FrozenValue):
@@ -87,14 +77,6 @@ def p1_fs_gram_diag(m: int, volume_convention: str) -> np.ndarray:
     return np.exp(logs)
 
 
-def _check_family(family_id: str | None) -> None:
-    """The closed forms here are those of P^1 with Fubini-Study only."""
-    if family_id != "p1-fs":
-        raise UnsupportedFamily(
-            f"no closed-form providers for family {family_id!r}; "
-            f"known: {sorted(FAMILY_GEOMETRY)}")
-
-
 def l2_gram(family_id: str, m: int, metric_id: str = "fs",
             volume_convention: str = VOL_OMEGA) -> SectionGram:
     _check_family(family_id)
@@ -104,32 +86,6 @@ def l2_gram(family_id: str, m: int, metric_id: str = "fs",
     return SectionGram(m, p1_basis(m),
                        np.diag(p1_fs_gram_diag(m, volume_convention)),
                        volume_convention)
-
-
-def p1_deg_hat_table(m_max: int) -> list:
-    """-1/2 log det of the closed-form (m omega) Gram for m = 1..m_max.
-
-    log det = 2 sum_{a<=m} log a! - (m+1) log (m+1)! + (m+1) log m; the
-    first sum runs across m, while log (m+1)! comes from lgamma directly
-    because a difference of two running sums loses ~1e-9 at m ~ 2000.
-    """
-    out = []
-    log_fact_sum = 0.0
-    for m in range(1, m_max + 1):
-        log_fact_sum += math.lgamma(m + 1.0)
-        s = (2.0 * log_fact_sum - (m + 1) * math.lgamma(m + 2.0)
-             + (m + 1) * math.log(m))
-        out.append(-0.5 * s)
-    return out
-
-
-def p1_deg_hat(m: int, volume_convention: str = VOL_M_OMEGA) -> float:
-    """-1/2 log det of the closed-form Gram for one m."""
-    _check_m("tensor power m", m, MAX_SCAN_M)
-    dh = p1_deg_hat_table(m)[-1]
-    if volume_convention != VOL_M_OMEGA:
-        dh += 0.5 * (m + 1) * math.log(m)
-    return dh
 
 
 # -- sections on the sphere grid ----------------------------------------
@@ -197,25 +153,13 @@ def arithmetic_degree(g: SectionGram) -> float:
     return -0.5 * logdet
 
 
-def _top_power(model) -> float:
-    """(L^{n+1})."""
-    return model.form.pair(*([model.L()] * (model.n + 1))).evaluate()
-
-
-def _chow(model, m: int, top: float, deg_hat: float, rank: int) -> float:
-    """(L_m^{n+1})/((n+1)(L_m^n)[K:Q]) - deg_hat/(rank [K:Q]), L_m = m L,
-    with top = (L^{n+1})."""
-    n, d = model.n, model.degree_KQ
-    return (m ** (n + 1) * top / ((n + 1) * m ** n * float(model.deg_Ln) * d)
-            - deg_hat / (rank * d))
-
-
 def chow_height(model, g: SectionGram) -> float:
     """Chow height of the lattice (H^0(L^m), g) at the model's metric."""
     if g.volume_convention != VOL_M_OMEGA:
         raise ConventionMismatch(
             "Chow height requires the (m omega)^n volume convention")
-    return _chow(model, g.m, _top_power(model), arithmetic_degree(g), g.rank)
+    return _chow(model, g.m, _top_power(model), float(model.deg_Ln),
+                 arithmetic_degree(g), g.rank)
 
 
 def extended_chow_height(model, g: SectionGram, bergman_samples,
@@ -361,78 +305,3 @@ def htilde_c_of_gram(model, g: SectionGram,
     return _htilde_c(model, g, geometry,
                      *_fs_density(_section_jet(geometry, g.m), g.gram,
                                   geometry.n_psi))
-
-
-# -- scans ---------------------------------------------------------------
-
-class ScanResult(FrozenValue):
-    """Fit and table of a scan; unlike the other values, mutable."""
-
-    _fields = ("fitted_constant", "fitted_log_slope", "table", "columns")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, fitted_constant: float, fitted_log_slope: float,
-                 table: list | None = None, columns: tuple = ()):
-        self.fitted_constant = fitted_constant
-        self.fitted_log_slope = fitted_log_slope
-        self.table = [] if table is None else table
-        self.columns = columns
-
-
-def _deg_hat_table(model, m_max: int) -> list:
-    """deg_hat(1..m_max) of the model's family, both checks first."""
-    _check_family(model.family)
-    _check_m("m_max", m_max, MAX_SCAN_M)
-    return p1_deg_hat_table(m_max)
-
-
-def hilbert_samuel_residual(model, m_max: int):
-    """residual(m) = deg_hat(m) - [A m^{n+1}/(n+1)! - (L^n) m^n log m/(4 (n-1)!)
-    - B m^n/(2 n!)] with A = (L^{n+1}), B = (L^n.K)."""
-    table = _deg_hat_table(model, m_max)
-    n = model.n
-    A = _top_power(model)
-    B = model.form.pair(*([model.L()] * n + [model.K()])).evaluate()
-    Ln = float(model.deg_Ln)
-    out = []
-    for m, dh in enumerate(table, start=1):
-        main = (A * m ** (n + 1) / math.factorial(n + 1)
-                - Ln * m ** n * math.log(m) / (4.0 * math.factorial(n - 1))
-                - B * m ** n / (2.0 * math.factorial(n)))
-        r = dh - main
-        if not math.isfinite(r):
-            raise NumericError(f"Hilbert-Samuel residual at m = {m} is "
-                               f"outside the float range")
-        out.append((m, r))
-    return out
-
-
-def dequantization_scan(model, m_max: int) -> ScanResult:
-    """Chow heights of (X, L^m, h^m) for m = 1..m_max plus a tail fit.
-
-    Fit model: a + s log m + (b1 + b2 log m)/m over m in [m_max/2, m_max].
-    The 1/m absorber needs the log m/m companion to reach the stated
-    tolerance on the constant; see docs/normalization.md.
-    """
-    deg_hats = _deg_hat_table(model, m_max)
-    n, A = model.n, _top_power(model)
-    table = []
-    for m, dh in enumerate(deg_hats, start=1):
-        hc = _chow(model, m, A, dh, m + 1)
-        if not math.isfinite(hc):
-            raise NumericError(f"Chow height at m = {m} is outside the "
-                               f"float range")
-        table.append((m, dh, hc, hc - 0.25 * n * math.log(m)))
-
-    lo = max(1, m_max // 2)
-    ms = np.array([r[0] for r in table if r[0] >= lo], float)
-    hc = np.array([r[2] for r in table if r[0] >= lo])
-    X = np.column_stack([np.ones_like(ms), np.log(ms), 1.0 / ms,
-                         np.log(ms) / ms])
-    coef, *_ = np.linalg.lstsq(X, hc, rcond=None)
-    return ScanResult(fitted_constant=float(coef[0]),
-                      fitted_log_slope=float(coef[1]),
-                      table=table,
-                      columns=("m", "deg_hat", "h_C", "h_C_minus_log_term"))

@@ -30,8 +30,8 @@ from heights.heightvalue import HeightValue
 from heights.intersection import (DivisorClassId, FiberComponent,
                                   IntersectionModel, SymmetricForm, form_key)
 from heights.potentials import PotentialField
-from heights.quantize import (balanced_iterate, dequantization_scan,
-                              hilbert_samuel_residual, l2_gram)
+from heights.quantize import balanced_iterate, l2_gram
+from heights.scans import dequantization_scan, hilbert_samuel_residual
 from heights.toric import blowup_family_oracle
 
 TWIST_PRIMES = [2, 3, 5, 7, 11, 13]

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from brute_force import primes_to
-from heights import families, quantize
+from heights import families, quantize, scans
 from heights.cli import main
 from heights.families import build_p1_fs
 
@@ -344,6 +344,21 @@ def test_scan_mmax_zero_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("m_max", [1, 2, 3, 4])
+def test_scan_refuses_an_underdetermined_tail_fit(capsys, m_max):
+    # the tail m_max//2..m_max has fewer rows than the fit's four columns
+    code, out, err = run(["scan", "--family", "p1-fs", "--m-max",
+                          str(m_max)], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "m_max must be >= 5 for the 4-parameter tail fit" in err
+    code, out, _ = run(["scan", "--family", "p1-fs", "--m-max", str(m_max),
+                        "--kind", "hilbert-samuel", "--emit", "json"], capsys)
+    assert code == 0 and len(json.loads(out)) == 1
+    code, out, _ = run(["scan", "--family", "p1-fs", "--m-max", "5",
+                        "--emit", "json"], capsys)
+    assert code == 0 and math.isfinite(json.loads(out)[0]["fitted_constant"])
+
+
 def test_scan_and_balanced_reject_primes(capsys):
     # neither subcommand takes a family that uses primes
     for argv in (["scan", "--family", "p1-fs", "--m-max", "5"],
@@ -548,9 +563,9 @@ def test_grid_over_the_limit_exits_2(capsys):
     (["balanced", "--family", "p1-fs", "--m", str(quantize.MAX_GRAM_M + 1),
       "--gram", "missing.json"], quantize.MAX_GRAM_M),
     (["scan", "--family", "p1-fs", "--m-max", "1000000000"],
-     quantize.MAX_SCAN_M),
+     scans.MAX_SCAN_M),
     (["scan", "--family", "p1-fs", "--kind", "hilbert-samuel", "--m-max",
-      str(quantize.MAX_SCAN_M + 1)], quantize.MAX_SCAN_M),
+      str(scans.MAX_SCAN_M + 1)], scans.MAX_SCAN_M),
 ])
 def test_m_over_the_limit_exits_2(capsys, argv, limit):
     start = time.perf_counter()

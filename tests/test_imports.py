@@ -40,9 +40,10 @@ EAGER_EXPORTS = {
                  "ricci_energy", "scalar_curvature_l2"],
     "quantize": ["SectionGram", "arithmetic_degree", "balanced_iterate",
                  "balanced_step", "bergman_density", "chow_height",
-                 "dequantization_scan", "extended_chow_height",
-                 "fubini_study_of", "hilbert_samuel_residual", "l2_gram",
-                 "l2_gram_quadrature", "p1_deg_hat"],
+                 "extended_chow_height", "fubini_study_of", "l2_gram",
+                 "l2_gram_quadrature"],
+    "scans": ["dequantization_scan", "hilbert_samuel_residual",
+              "p1_deg_hat"],
     "toric": ["ToricThreefold", "barycentric_log_discrepancy",
               "blowup_family_oracle", "toric_log_discrepancy"],
     "families": ["BrieskornPhamSpec", "EllipticCurveData",
@@ -79,6 +80,10 @@ def _exact_cli_calls(tmp_path) -> list:
         (["validate", "--model", str(model)], 0),
         (["compute", "--model", str(model), "--functional", "hk"], 0),
         (["bp", "--weights", "8,15,7", "--prime", "11"], 0),
+        (["scan", "--family", "p1-fs", "--m-max", "200"], 0),
+        (["scan", "--family", "p1-fs", "--m-max", "200", "--kind",
+          "hilbert-samuel"], 0),
+        (["scan", "--model", str(model), "--m-max", "200"], 0),
         # error paths
         (["compute", "--family", "nope"], 2),
         (["bp", "--weights", "4,6,7", "--prime", "5"], 2),
@@ -87,6 +92,7 @@ def _exact_cli_calls(tmp_path) -> list:
         (["validate", "--model", str(bad)], 2),
         (["compute", "--family", "p1-fs", "--functional", "calabi",
           "--arch-term", "nan"], 2),
+        (["scan", "--family", "p1-fs", "--m-max", "4"], 2),
     ]
 
 
@@ -115,8 +121,15 @@ def test_import_heights_loads_no_numpy():
     assert proc.stdout.split() == ["False", "False"]
 
 
+def test_scans_load_no_numpy():
+    proc = _python("import sys, heights; heights.dequantization_scan; "
+                   "print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_exact_cli_calls_load_no_numpy_or_mpmath(tmp_path):
-    calls = [argv for argv, _ in _exact_cli_calls(tmp_path)]
+    calls, wants = zip(*_exact_cli_calls(tmp_path))
     proc = _python(f"""
 import contextlib, io, json, sys
 import heights.cli
@@ -127,13 +140,13 @@ def run(argv):
         code = heights.cli.main(argv)
     return [code, 'numpy' in sys.modules, 'mpmath' in sys.modules]
 
-exact = [run(argv) for argv in {calls!r}]
+exact = [run(argv) for argv in {list(calls)!r}]
 faltings = run(['faltings', '--curve', '37a1'])
 print(json.dumps([exact, faltings]))
 """)
     assert proc.returncode == 0, proc.stderr
     exact, faltings = json.loads(proc.stdout)
-    assert [code for code, _, _ in exact] == [0, 0, 0, 0, 0, 2, 2, 2, 2, 2]
+    assert [code for code, _, _ in exact] == list(wants)
     assert not any(np or mp for _, np, mp in exact), exact
     assert faltings[:2] == [0, False]
 
@@ -161,6 +174,9 @@ print(json.dumps([code, sorted(sys.modules)]))
             assert "heights.families" not in modules, argv
         if argv[:3] == ["compute", "--family", "p1-fs"]:
             assert "heights.toric" not in modules, argv
+        if argv[0] == "scan":
+            assert not {"numpy", "heights.geometry", "heights.quantize"} & \
+                set(modules), argv
 
 
 def test_blowup_checks_hold_under_optimize():

@@ -1,6 +1,7 @@
 """Section Grams, Chow heights, balanced iteration, scans."""
 
 import copy
+import hashlib
 import math
 import re
 import tracemalloc
@@ -8,9 +9,10 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from brute_force import p1_deg_hat_exact
-from heights import quantize
+from heights import quantize, scans
 from heights.energies import apply_metric_change
 from heights.errors import (ConventionMismatch, GeometryMismatch,
                             NonPositiveDefinite, UnsupportedFamily,
@@ -22,11 +24,11 @@ from heights.potentials import PotentialField
 from heights.quantize import (SectionGram, arithmetic_degree,
                               balanced_iterate, balanced_step,
                               bergman_density, chow_height,
-                              dequantization_scan, extended_chow_height,
-                              fubini_study_of, hilbert_samuel_residual,
+                              extended_chow_height, fubini_study_of,
                               htilde_c_of_gram, l2_gram, l2_gram_quadrature,
-                              p1_deg_hat, p1_deg_hat_table, p1_fs_gram_diag,
-                              p1_section_values)
+                              p1_fs_gram_diag, p1_section_values)
+from heights.scans import (dequantization_scan, hilbert_samuel_residual,
+                           p1_deg_hat, p1_deg_hat_table)
 
 GEOM = SphereGeometry(128)
 MODEL = build_p1_fs()
@@ -274,8 +276,8 @@ def test_m_over_the_limit_allocates_nothing():
                lambda: l2_gram("p1-fs", quantize.MAX_GRAM_M + 1),
                lambda: l2_gram_quadrature(GEOM, quantize.MAX_GRAM_M + 1),
                lambda: dequantization_scan(MODEL, 10 ** 9),
-               lambda: hilbert_samuel_residual(MODEL, quantize.MAX_SCAN_M + 1),
-               lambda: p1_deg_hat(quantize.MAX_SCAN_M + 1)]
+               lambda: hilbert_samuel_residual(MODEL, scans.MAX_SCAN_M + 1),
+               lambda: p1_deg_hat(scans.MAX_SCAN_M + 1)]
     tracemalloc.start()
     try:
         for bad in too_big:
@@ -287,8 +289,8 @@ def test_m_over_the_limit_allocates_nothing():
     # the sizes at the limits are admitted
     assert l2_gram("p1-fs", quantize.MAX_GRAM_M).rank == \
         quantize.MAX_GRAM_M + 1
-    assert len(p1_deg_hat_table(quantize.MAX_SCAN_M)) == quantize.MAX_SCAN_M
-    p1_deg_hat(quantize.MAX_SCAN_M)
+    assert len(p1_deg_hat_table(scans.MAX_SCAN_M)) == scans.MAX_SCAN_M
+    p1_deg_hat(scans.MAX_SCAN_M)
 
 
 def test_fs_density_rejects_nan_and_overflow():
@@ -392,6 +394,10 @@ def test_dequantization_scan_small():
     assert res.fitted_log_slope == pytest.approx(0.25, abs=5e-3)
     with pytest.raises(ValidationError):
         dequantization_scan(MODEL, 0)
+    # the four-column tail fit needs four rows
+    with pytest.raises(ValidationError, match="m_max must be >= 5"):
+        dequantization_scan(MODEL, 4)
+    assert len(dequantization_scan(MODEL, 5).table) == 5
 
 
 def test_hilbert_samuel_residual_small():
@@ -443,6 +449,62 @@ def test_deg_hat_table_matches_exact_log_primes():
                                * mpmath.log(p)
                                for p, c in exact.log_terms.items())
             assert abs(table[m - 1] - want) <= bound
+
+
+# SHA-256 of repr() of the scan rows at m_max 2000; repr round-trips
+# every float, so equal digests mean bit-identical tables
+SCAN_DIGESTS = (
+    "3f4e37a1429bacedc6837ffa09bde068bd2994c8d3d2b834c1c56b1b134259b5",
+    "b102617dc0fcf4a6789cb62651e9fa58281eb29fb60f5dc12bbb763d932aa74c")
+
+
+def test_scan_tables_are_bit_identical_to_recorded():
+    def digest(rows):
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+    assert (digest(dequantization_scan(MODEL, 2000).table),
+            digest(hilbert_samuel_residual(MODEL, 2000))) == SCAN_DIGESTS
+
+
+@pytest.mark.parametrize("m_max", [5, 12, 60, 200, 2000, 100_000])
+def test_tail_fit_matches_numpy_lstsq(m_max):
+    res = dequantization_scan(MODEL, m_max)
+    tail = np.array(res.table[m_max // 2 - 1:])
+    ms = tail[:, 0]
+    X = np.column_stack([np.ones_like(ms), np.log(ms), 1.0 / ms,
+                         np.log(ms) / ms])
+    ref, *_ = np.linalg.lstsq(X, tail[:, 2], rcond=None)
+    assert abs(res.fitted_constant - ref[0]) <= 1e-10
+    assert abs(res.fitted_log_slope - ref[1]) <= 1e-10
+
+
+@st.composite
+def tall_systems(draw):
+    """(A, y) with n >= k rows; entries of moderate size, so the squares
+    in the column norms neither underflow nor overflow."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 3 * k + 8))
+    entry = st.integers(-10 ** 6, 10 ** 6).map(lambda i: i / 1000)
+    A = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                      min_size=n, max_size=n))
+    return np.array(A), np.array(draw(st.lists(entry, min_size=n,
+                                               max_size=n)))
+
+
+@given(tall_systems())
+@settings(max_examples=100, deadline=None)
+def test_lstsq_matches_numpy_on_random_systems(system):
+    A, y = system
+    cond = np.linalg.cond(A)
+    assume(cond < 1e4)
+    ref, *_ = np.linalg.lstsq(A, y, rcond=None)
+    x = scans._lstsq([list(col) for col in A.T], list(y))
+    # the forward error of a backward-stable solve is of order
+    # eps (cond |x| + cond^2 |r| / |A|), for either solver
+    r = np.linalg.norm(A @ ref - y)
+    bound = 1e-13 * A.shape[0] * (
+        cond * np.linalg.norm(ref) + cond ** 2 * r / np.linalg.norm(A, 2))
+    assert np.linalg.norm(np.array(x) - ref) <= bound
 
 
 def test_saved_p1_model_keeps_its_family(tmp_path):

@@ -13,7 +13,8 @@ from heights.heightvalue import HeightValue
 from heights.intersection import (DivisorClassId, FiberComponent,
                                   IntersectionModel, ModelPair,
                                   SymmetricForm)
-from heights.quantize import ScanResult, SectionGram, l2_gram
+from heights.quantize import SectionGram, l2_gram
+from heights.scans import ScanResult
 
 P1 = build_p1_fs()
 PAIR = build_p2_blowup_family((2,))
