@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--functional", default="hk")
     c.add_argument("--primes", type=_parse_primes, default=None)
     c.add_argument("--prime", type=int, default=None)
-    c.add_argument("--relative-to", default=None)
+    c.add_argument("--relative-to", choices=("base",), default=None)
     c.add_argument("--cover-degree", type=int, default=1)
     c.add_argument("--arch-term", type=float, default=0.0)
     c.set_defaults(func=run_compute)

@@ -12,8 +12,7 @@ import numpy as np
 
 from .errors import ArityMismatch, GeometryMismatch, ValidationError
 from .functionals import model_beta
-from .intersection import (FAMILY_GEOMETRY, ModelPair, SymmetricForm,
-                           form_key)
+from .intersection import FAMILY_GEOMETRY, ModelPair, SymmetricForm
 from .potentials import PotentialField, ricci_of_log
 
 
@@ -98,11 +97,11 @@ def apply_metric_change(model, phi: PotentialField):
     dA = beta * phi.int_phi_mixed
     dB = beta * (-phi.int_phi_ric + phi.int_log_omega_phi)
     dC = beta * (-phi.int_log_ric - phi.int_log_ricci)
-    f = model.form.entries
+    f = model.form.value
     return model.replace_form({
-        form_key((Lk, Lk)): f[form_key((Lk, Lk))].shift_real(dA),
-        form_key((Lk, Kk)): f[form_key((Lk, Kk))].shift_real(dB),
-        form_key((Kk, Kk)): f[form_key((Kk, Kk))].shift_real(dC),
+        (Lk, Lk): f((Lk, Lk)).shift_real(dA),
+        (Lk, Kk): f((Lk, Kk)).shift_real(dB),
+        (Kk, Kk): f((Kk, Kk)).shift_real(dC),
     })
 
 
@@ -116,21 +115,19 @@ def metric_model_pair(model, phi: PotentialField):
     beta = float(model_beta(model))
     Lk, Kk = model.L_class, model.K_class
     L0, K0 = Lk + "_ref", Kk + "_ref"
-    f0, f1 = model.form.entries, changed.form.entries
-    A0 = f0[form_key((Lk, Lk))]
-    B0 = f0[form_key((Lk, Kk))]
-    C0 = f0[form_key((Kk, Kk))]
+    f0, f1 = model.form.value, changed.form.value
+    A0, B0, C0 = f0((Lk, Lk)), f0((Lk, Kk)), f0((Kk, Kk))
     entries = {
         (L0, L0): A0,
         (L0, K0): B0,
         (K0, K0): C0,
-        (Lk, Lk): f1[form_key((Lk, Lk))],
+        (Lk, Lk): f1((Lk, Lk)),
         (Lk, L0): A0.shift_real(beta * phi.int_phi),
-        (Lk, Kk): f1[form_key((Lk, Kk))],
+        (Lk, Kk): f1((Lk, Kk)),
         (Lk, K0): B0.shift_real(beta * -phi.int_phi_ric),
         (L0, Kk): B0.shift_real(beta * phi.int_log),
         (Kk, K0): C0.shift_real(beta * -phi.int_log_ric),
-        (Kk, Kk): f1[form_key((Kk, Kk))],
+        (Kk, Kk): f1((Kk, Kk)),
     }
     joint = SymmetricForm(2, entries)
     return ModelPair(

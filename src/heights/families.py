@@ -133,21 +133,16 @@ def build_p2_blowup_family(primes=(2, 3, 5), twist: int = 2,
         key: joint_entries[key]
         for key in itertools.combinations_with_replacement(
             sorted(blown_names), 3)}
-    blown_classes = [DivisorClassId("L", KIND_POLARIZATION),
-                     DivisorClassId("K", KIND_CANONICAL)]
-    for p in primes:
-        blown_classes.append(DivisorClassId(
-            f"F{p}", KIND_VERTICAL, prime=p, component_id="exc"))
+    exceptional = tuple(
+        DivisorClassId(f"F{p}", KIND_VERTICAL, prime=p, component_id="exc")
+        for p in primes)
     # exceptional fiber-component degrees at the nef boundary twist
     degL_exc = Fraction(t * t + 2 * t)
     degLK_exc = Fraction(-(1 + 2 * t))
-    blown_fibers = tuple(FiberComponent(p, "exc", degL_exc, degLK_exc)
-                         for p in primes)
-    blown = IntersectionModel(
-        n=n, degree_KQ=1, classes=tuple(blown_classes),
-        form=SymmetricForm(3, blown_entries),
-        L_class="L", K_class="K", deg_Ln=deg_Ln, deg_LK=deg_LK,
-        fibers=blown_fibers, generic_degrees={("K", "K"): Fraction(8)})
+    blown = base.replace_form(
+        blown_entries, classes=base_classes + exceptional,
+        fibers=tuple(FiberComponent(p, "exc", degL_exc, degLK_exc)
+                     for p in primes))
 
     if validate:
         dA = (blown.form.pair(blown.L(), blown.L(), blown.L())

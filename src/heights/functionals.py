@@ -16,7 +16,8 @@ from .errors import (GenericFiberMismatch, NegativeArchTerm, NonPrimeLabel,
                      UnknownComponent, UnknownPrime, ZeroCoverDegree,
                      ZeroSelfIntersection, ValidationError)
 from .heightvalue import HeightValue, is_prime
-from .intersection import FormalSum, IntersectionModel, ModelPair
+from .intersection import (KIND_VERTICAL, FormalSum, IntersectionModel,
+                           ModelPair)
 
 
 def _hk_terms(m: IntersectionModel, L: FormalSum):
@@ -138,7 +139,7 @@ def component_twist_derivative(m: IntersectionModel, prime: int,
         raise ZeroCoverDegree("cover degree must be nonzero")
     name = None
     for c in m.classes:
-        if c.kind == "vertical" and c.prime == prime \
+        if c.kind == KIND_VERTICAL and c.prime == prime \
                 and c.component_id == component_id:
             name = c.name
             break

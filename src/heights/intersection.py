@@ -36,6 +36,14 @@ _KINDS = {KIND_POLARIZATION, KIND_CANONICAL, KIND_VERTICAL,
 FAMILY_GEOMETRY = {"p1-fs": "sphere"}
 
 
+def _check_family(family: str | None) -> None:
+    """The one family rule: an id needs closed-form providers."""
+    if family not in FAMILY_GEOMETRY:
+        raise UnsupportedFamily(
+            f"no closed-form providers for family {family!r}; "
+            f"known: {sorted(FAMILY_GEOMETRY)}")
+
+
 class DivisorClassId(FrozenValue):
     _fields = ("name", "kind", "prime", "component_id")
 
@@ -71,12 +79,16 @@ class FiberComponent(FrozenValue):
 
 
 class FormalSum(dict):
-    """Rational formal combination of class names."""
+    """Rational formal combination of class names: a name, a mapping of
+    names to rationals or None (the empty sum)."""
 
     def __init__(self, terms: Mapping[str, Fraction] | str | None = None):
         super().__init__()
         if isinstance(terms, str):
             terms = {terms: Fraction(1)}
+        elif terms is not None and not isinstance(terms, Mapping):
+            raise TypeError(
+                f"cannot interpret {terms!r} as a class combination")
         for k, v in (terms or {}).items():
             v = Fraction(v)
             if v != 0:
@@ -94,18 +106,6 @@ class FormalSum(dict):
     def scale(self, q):
         q = Fraction(q)
         return FormalSum({k: q * v for k, v in self.items()})
-
-
-def _as_sum(x) -> FormalSum:
-    if isinstance(x, FormalSum):
-        return x
-    if isinstance(x, str):
-        return FormalSum(x)
-    if isinstance(x, DivisorClassId):
-        return FormalSum(x.name)
-    if isinstance(x, Mapping):
-        return FormalSum(x)
-    raise TypeError(f"cannot interpret {x!r} as a class combination")
 
 
 def form_key(names: Iterable[str]) -> tuple:
@@ -139,7 +139,8 @@ class SymmetricForm:
         return self.entries[k]
 
     def pair(self, *combos) -> HeightValue:
-        """Multilinear evaluation on `arity` formal combinations.
+        """Multilinear evaluation on `arity` formal combinations, each a
+        FormalSum or anything FormalSum() accepts.
 
         The slots are multiplied out one at a time into merged rational
         coefficients per multiset of names, so each form entry is read
@@ -152,7 +153,9 @@ class SymmetricForm:
                 f"expected {self.arity} slots, got {len(combos)}")
         coeffs = {(): Fraction(1)}
         for combo in combos:
-            terms = [(name, q) for name, q in _as_sum(combo).items() if q]
+            if not isinstance(combo, FormalSum):
+                combo = FormalSum(combo)
+            terms = [(name, q) for name, q in combo.items() if q]
             merged = {}
             for key, c in coeffs.items():
                 for name, q in terms:
@@ -210,10 +213,8 @@ class IntersectionModel(FrozenValue):
                 "fiber component ids must be unique per prime")
         gd = {form_key(k): Fraction(v)
               for k, v in dict(generic_degrees or {}).items()}
-        if family is not None and family not in FAMILY_GEOMETRY:
-            raise UnsupportedFamily(
-                f"no closed-form providers for family {family!r}; "
-                f"known: {sorted(FAMILY_GEOMETRY)}")
+        if family is not None:
+            _check_family(family)
         self.__dict__.update(
             n=n, degree_KQ=degree_KQ, classes=classes, form=form,
             L_class=L_class, K_class=K_class, deg_Ln=deg_Ln, deg_LK=deg_LK,
@@ -256,30 +257,24 @@ class IntersectionModel(FrozenValue):
         kinds = [self.class_by_name(nm).kind for nm in key]
         if any(k in (KIND_VERTICAL, KIND_BASE_PULLBACK) for k in kinds):
             return Fraction(0)
-        counts = {}
-        for nm in key:
-            counts[nm] = counts.get(nm, 0) + 1
-        if counts == {self.L_class: self.n}:
+        l_count = key.count(self.L_class)
+        if l_count == self.n:
             return self.deg_Ln
-        if self.n >= 1 and counts.get(self.L_class, 0) == self.n - 1 \
-                and counts.get(self.K_class, 0) == 1:
+        if l_count == self.n - 1 and key.count(self.K_class) == 1:
             return self.deg_LK
         raise MissingGenericDegree(
             f"generic degree of {','.join(key)} not registered")
 
     def replace_form(self, new_entries: Mapping[tuple, HeightValue],
                      **overrides) -> "IntersectionModel":
-        merged = dict(self.form.entries)
-        merged.update({form_key(k): as_height(v)
-                       for k, v in new_entries.items()})
-        kwargs = dict(
-            n=self.n, degree_KQ=self.degree_KQ, classes=self.classes,
-            form=SymmetricForm(self.n + 1, merged),
-            L_class=self.L_class, K_class=self.K_class,
-            deg_Ln=self.deg_Ln, deg_LK=self.deg_LK, fibers=self.fibers,
-            generic_degrees=self.generic_degrees, family=self.family)
-        kwargs.update(overrides)
-        return IntersectionModel(**kwargs)
+        """This model with new_entries written over its form entries; the
+        other fields are kept unless overrides name them."""
+        fields = dict(zip(self._fields, self._values()))
+        # a key given out of order still wins: SymmetricForm sorts each
+        # key, and a later duplicate overwrites an earlier one
+        fields["form"] = SymmetricForm(
+            self.n + 1, {**self.form.entries, **new_entries})
+        return IntersectionModel(**{**fields, **overrides})
 
     # -- serialization ------------------------------------------------
 

@@ -3,8 +3,8 @@ and balanced iteration.
 
 v1 supports the P^1_Z / Fubini-Study family end to end: the closed-form
 Grams and arithmetic degrees below are its, and `l2_gram` and the scans
-(`heights.scans`) refuse any other `family` id (see
-`intersection.FAMILY_GEOMETRY`).
+(`heights.scans`) refuse any other `family` id through the one family
+check, `intersection._check_family` (see `intersection.FAMILY_GEOMETRY`).
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from ._frozen import FrozenValue
 from .errors import (ConventionMismatch, NonPositiveDefinite,
                      NumericError, UnsupportedFamily, ValidationError)
 from .geometry import SphereGeometry
+from .intersection import _check_family
 # the two scans are not used here: the benchmark's tracer and its tests
 # look them up under this module
-from .scans import (VOL_M_OMEGA, VOL_OMEGA, _check_family, _check_m, _chow,
-                    _top_power, dequantization_scan, hilbert_samuel_residual)
+from .scans import (VOL_M_OMEGA, VOL_OMEGA, _check_m, _chow, _top_power,
+                    dequantization_scan, hilbert_samuel_residual)
 
 # largest tensor power m of a section Gram: the closed-form Gram holds
 # (m+1)^2 floats (8 MB at 1000) and a balanced step's section jet

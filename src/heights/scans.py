@@ -3,7 +3,9 @@ family, with the closed-form arithmetic degrees they read.
 
 The module needs no numpy: a `scan` process loads only the exact core
 and this file.  The tail fit is a Householder least-squares solve on
-four columns kept as lists.
+four columns kept as lists.  A model without a family id, or with one
+outside `intersection.FAMILY_GEOMETRY`, is refused by the package's one
+family check, `intersection._check_family`.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import math
 import operator
 
 from ._frozen import FrozenValue
-from .errors import NumericError, UnsupportedFamily, ValidationError
-from .intersection import FAMILY_GEOMETRY
+from .errors import NumericError, ValidationError
+from .intersection import _check_family
 
 VOL_OMEGA = "omega"
 VOL_M_OMEGA = "m-omega"
@@ -33,14 +35,6 @@ def _check_m(name: str, m: int, cap: int) -> None:
         raise ValidationError(f"{name} must be >= 1")
     if m > cap:
         raise ValidationError(f"{name} = {m} is over the limit of {cap}")
-
-
-def _check_family(family_id: str | None) -> None:
-    """The closed forms here are those of P^1 with Fubini-Study only."""
-    if family_id != "p1-fs":
-        raise UnsupportedFamily(
-            f"no closed-form providers for family {family_id!r}; "
-            f"known: {sorted(FAMILY_GEOMETRY)}")
 
 
 def p1_deg_hat_table(m_max: int) -> list:

@@ -326,6 +326,70 @@ def test_compute_snA(capsys):
     assert rows[0]["symbolic"] == "5/4"
 
 
+def test_compute_relative_to_names_the_reference(capsys):
+    # the reference of a family pair is its only choice
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--family", "p2-blowup", "--functional", "hk",
+              "--relative-to", "nonsense"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--relative-to" in out.err
+
+
+def test_compute_energy(capsys):
+    # (L.L) = 1/2 on P^1; (L^3) = -20 log(2 3 5) on the blow-up, twist 2
+    code, out, _ = run(["compute", "--family", "p1-fs",
+                        "--functional", "energy", "--emit", "json"], capsys)
+    assert code == 0 and json.loads(out) == [
+        {"functional": "energy", "symbolic": "1/2", "value": 0.5}]
+    code, out, _ = run(["compute", "--family", "p2-blowup",
+                        "--functional", "energy", "--emit", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)[0]["symbolic"] == \
+        "-20*log 2 + -20*log 3 + -20*log 5"
+
+
+def test_compute_calabi_adds_the_arch_term(capsys):
+    argv = ["compute", "--family", "p2-blowup", "--primes", "3",
+            "--functional", "calabi", "--emit", "json", "--arch-term"]
+    code, out, _ = run(argv + ["0.5"], capsys)
+    assert code == 0 and json.loads(out)[0]["value"] == 0.890625
+    code, out, err = run(argv + ["-0.5"], capsys)
+    assert code == 2 and out == "" and "NegativeArchTerm" in err
+
+
+def test_compute_slope(tmp_path, capsys):
+    # P^1 with its real parts zeroed: -(n+1)(L.K)/(L.L) = 4 > Sbar = 2
+    obj = build_p1_fs().to_json()
+    for v in obj["form"].values():
+        v.update(real=0.0, real_exact=True)
+    path = tmp_path / "p1_rational.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(["compute", "--model", str(path),
+                        "--functional", "slope", "--emit", "json"], capsys)
+    assert code == 0 and json.loads(out) == [
+        {"functional": "slope", "symbolic": "violated", "value": ""}]
+    code, out, err = run(["compute", "--family", "p1-fs",
+                          "--functional", "slope"], capsys)
+    assert code == 2 and out == "" and "geometric base" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "--family", "p2-blowup", "--functional", "snA"],
+     "snA needs --prime"),
+    (["compute", "--family", "p1-fs", "--functional", "hk,bogus"],
+     "unknown functional 'bogus'"),
+    (["faltings", "--a-invariants", "0,0,1,-1,0"],
+     "--a-invariants needs --delta-min"),
+    (["faltings"], "pass --curve or --a-invariants"),
+], ids=["snA-without-prime", "unknown-functional", "no-delta-min",
+        "no-curve"])
+def test_missing_or_unknown_input_exits_2(capsys, argv, message):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert f"ValidationError: {message}" in err
+
+
 def test_scan_writes_rfc4180_csv(tmp_path, capsys):
     out_path = tmp_path / "scan.csv"
     code, out, _ = run(["scan", "--family", "p1-fs", "--m-max", "12",

@@ -231,3 +231,25 @@ def test_every_private_module_name_is_used():
         and node.name.startswith("_") and not node.name.startswith("__")
         and used[node.name] == _names(node)[node.name]]
     assert unused == []
+
+
+def test_only_intersection_knows_the_form_key_format():
+    # a form's key format stays inside intersection: no other module
+    # imports or reaches form_key, or subscripts an `.entries` attribute
+    # (SymmetricForm.value reads an entry)
+    src = Path(heights.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "intersection.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and any(
+                    a.name == "form_key" for a in node.names):
+                found.append(f"{path.name}:{node.lineno} imports form_key")
+            elif isinstance(node, ast.Attribute) and node.attr == "form_key":
+                found.append(f"{path.name}:{node.lineno} reads form_key")
+            elif (isinstance(node, ast.Subscript)
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "entries"):
+                found.append(f"{path.name}:{node.lineno} subscripts entries")
+    assert found == []

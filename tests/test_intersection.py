@@ -17,7 +17,7 @@ from heights.heightvalue import HeightValue, ZERO
 from heights.intersection import (DivisorClassId, FiberComponent, FormalSum,
                                   IntersectionModel, ModelPair, SymmetricForm,
                                   form_key)
-from heights.families import build_p2_blowup_family
+from heights.families import build_p1_fs, build_p2_blowup_family
 from heights.functionals import (arakelov_calabi,
                                  component_twist_derivative,
                                  decomposition_check, modular_height,
@@ -55,6 +55,27 @@ def test_form_missing_monomial_raises():
     form = SymmetricForm(2, {("L", "L"): ZERO})
     with pytest.raises(IncompleteJointForm):
         form.value(("L", "K"))
+
+
+def test_pair_slot_is_a_formal_sum_or_what_formal_sum_takes():
+    form = simple_model().form
+    want = form.pair(FormalSum("L"), FormalSum({"K": Fraction(2)}))
+    assert form.pair("L", {"K": 2}).exact_eq(want)
+    assert form.pair(None, "L").exact_eq(ZERO)
+    for bad in (DivisorClassId("L", "polarization"), 1, ["L"]):
+        with pytest.raises(TypeError, match="class combination"):
+            form.pair(bad, "L")
+
+
+def test_replace_form_keeps_every_other_field():
+    m = build_p1_fs()
+    # a key out of sorted order overwrites its sorted entry
+    new = m.replace_form({("L", "K"): HeightValue(3)})
+    assert new.form.entries == {**m.form.entries, ("K", "L"): HeightValue(3)}
+    for name in m._fields:
+        if name != "form":
+            assert getattr(new, name) == getattr(m, name)
+    assert m.replace_form({}, family=None).family is None
 
 
 def pair_by_product(form, *combos):

@@ -42,10 +42,11 @@ def test_closed_form_gram_matches_quadrature():
 
 
 def test_deg_hat_closed_form_matches_slogdet():
-    for m in (2, 5, 9):
-        g = l2_gram("p1-fs", m, "fs", "m-omega")
-        assert arithmetic_degree(g) == pytest.approx(
-            p1_deg_hat(m, "m-omega"), rel=1e-13)
+    for m in (1, 2, 5, 9, 40):
+        for convention in ("m-omega", "omega"):
+            g = l2_gram("p1-fs", m, "fs", convention)
+            assert arithmetic_degree(g) == pytest.approx(
+                p1_deg_hat(m, convention), rel=1e-13)
 
 
 def test_gram_validation():
