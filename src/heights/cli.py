@@ -139,8 +139,6 @@ def run_compute(args) -> int:
 
 
 def run_scan(args) -> int:
-    if args.m_max < 1:
-        raise ValidationError("--m-max must be >= 1")
     model, _ = _load_family(args)
     from .scans import dequantization_scan, hilbert_samuel_residual
 
@@ -164,6 +162,8 @@ def run_scan(args) -> int:
 
 
 def run_balanced(args) -> int:
+    if args.seed < 0:       # numpy's generator takes no negative seed
+        raise ValidationError("--seed must be >= 0")
     # the family (and the families module) before numpy: compiled after
     # numpy's allocations, the module raised the peak RSS by 0.3-0.8 MB
     model, _ = _load_family(args)
@@ -241,11 +241,11 @@ def run_faltings(args) -> int:
     for meth in methods:
         h = faltings_from_periods(E, per, meth)
         row = {"method": meth, "h_faltings": h}
-        if args.polarization:
+        if args.polarization is not None:
             row["h_K"] = faltings_to_hk(h, args.polarization)
         rows.append(row)
     rows.append({"method": "tau", "h_faltings": str(per["tau"]),
-                 **({"h_K": ""} if args.polarization else {})})
+                 **({"h_K": ""} if args.polarization is not None else {})})
     _emit(rows, args.emit)
     return EXIT_OK
 
@@ -332,7 +332,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except NumericError as exc:
+    except (NumericError, OverflowError) as exc:   # past the float range
         print(f"numeric failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_NUMERIC

@@ -17,6 +17,21 @@ class NumericError(HeightsError):
     """Numerical failure during evaluation (CLI exit 3)."""
 
 
+def _int_text(k: int) -> str:
+    """str(k), or its size where str() refuses it (over 4300 digits)."""
+    try:
+        return str(k)
+    except ValueError:
+        return f"an integer of {k.bit_length()} bits"
+
+
+def _check_limit(what: str, value: int, cap: int) -> None:
+    """The one size limit, checked before anything of that size is made."""
+    if value > cap:
+        raise ValidationError(
+            f"{what} = {_int_text(value)} is over the limit of {cap}")
+
+
 class NonPrimeLabel(ValidationError):
     pass
 

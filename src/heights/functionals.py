@@ -22,7 +22,7 @@ from .intersection import (KIND_VERTICAL, FormalSum, IntersectionModel,
 
 def _hk_terms(m: IntersectionModel, L: FormalSum):
     """(L^{n+1}), (L^n.K) and -n*deg_LK*(L^{n+1}) + (n+1)*deg_Ln*(L^n.K)."""
-    a = m.form.pair(*([L] * (m.n + 1)))
+    a = m.top_power(L)
     b = m.form.pair(*([L] * m.n + [m.K()]))
     return a, b, a.scale(-m.n * m.deg_LK) + b.scale((m.n + 1) * m.deg_Ln)
 
@@ -41,7 +41,7 @@ def modular_height(m: IntersectionModel) -> HeightValue:
 
 
 def arakelov_energy(m: IntersectionModel) -> HeightValue:
-    return m.form.pair(*([m.L()] * (m.n + 1))).scale(Fraction(1, m.degree_KQ))
+    return m.top_power().scale(Fraction(1, m.degree_KQ))
 
 
 def relative_modular_height(m: IntersectionModel,
@@ -51,11 +51,15 @@ def relative_modular_height(m: IntersectionModel,
     return modular_height(m) - modular_height(ref)
 
 
+def _rel(pair: ModelPair, first: list, second: list) -> HeightValue:
+    """((first) - (second)) / [K:Q], both slot lists on the joint form."""
+    return (pair.joint_form.pair(*first) - pair.joint_form.pair(*second)
+            ).scale(Fraction(1, pair.model.degree_KQ))
+
+
 def _pair_energy(pair: ModelPair) -> HeightValue:
-    n, d = pair.model.n, pair.model.degree_KQ
-    a = pair.joint_form.pair(*([pair.mL()] * (n + 1)))
-    b = pair.joint_form.pair(*([pair.rL()] * (n + 1)))
-    return (a - b).scale(Fraction(1, d))
+    n = pair.model.n
+    return _rel(pair, [pair.mL()] * (n + 1), [pair.rL()] * (n + 1))
 
 
 def ricci_energy_rel(pair: ModelPair) -> HeightValue:
@@ -64,28 +68,24 @@ def ricci_energy_rel(pair: ModelPair) -> HeightValue:
     The Ricci pairing uses the reference canonical class; this is what
     makes the decomposition of the modular height an exact identity.
     """
-    n, d = pair.model.n, pair.model.degree_KQ
-    a = pair.joint_form.pair(*([pair.rL()] * n + [pair.rK()]))
-    b = pair.joint_form.pair(*([pair.mL()] * n + [pair.rK()]))
-    return (a - b).scale(Fraction(1, d))
+    n = pair.model.n
+    return _rel(pair, [pair.rL()] * n + [pair.rK()],
+                [pair.mL()] * n + [pair.rK()])
 
 
 def entropy_rel(pair: ModelPair) -> HeightValue:
     """(1/[K:Q]) * ( (p*L)^n . (p*K - q*K_ref) )."""
-    n, d = pair.model.n, pair.model.degree_KQ
-    a = pair.joint_form.pair(*([pair.mL()] * n + [pair.mK()]))
-    b = pair.joint_form.pair(*([pair.mL()] * n + [pair.rK()]))
-    return (a - b).scale(Fraction(1, d))
+    n = pair.model.n
+    return _rel(pair, [pair.mL()] * n + [pair.mK()],
+                [pair.mL()] * n + [pair.rK()])
 
 
 def aubin_I_rel(pair: ModelPair) -> HeightValue:
     """I^{Ar} = (1/d)[ (L-r).r^n - (L-r).L^n ] with L = p*L, r = q*L_ref."""
-    n, d = pair.model.n, pair.model.degree_KQ
+    n = pair.model.n
     L, r = pair.mL(), pair.rL()
     diff = L - r
-    a = pair.joint_form.pair(*([r] * n + [diff]))
-    b = pair.joint_form.pair(*([L] * n + [diff]))
-    return (a - b).scale(Fraction(1, d))
+    return _rel(pair, [r] * n + [diff], [L] * n + [diff])
 
 
 def aubin_J_rel(pair: ModelPair) -> HeightValue:
@@ -187,20 +187,6 @@ def slope_semistability_test(tc: IntersectionModel) -> str:
     return "stable-direction" if lhs < rhs else "violated"
 
 
-def _l_slots(m: IntersectionModel):
-    """(key, value, k_L, gd) per form entry with k_L >= 1 L-slots whose
-    other n slots have nonzero generic degree gd."""
-    for key, val in m.form.entries.items():
-        k_l = key.count(m.L_class)
-        if k_l == 0:
-            continue
-        rest = list(key)
-        rest.remove(m.L_class)
-        gd = m.generic_degree(rest)
-        if gd != 0:
-            yield key, val, k_l, gd
-
-
 def twist_by_base_divisor(m: IntersectionModel,
                           D: Mapping[int, Fraction]) -> IntersectionModel:
     """Model of L(pi*D) for a formal rational sum D of primes.
@@ -216,7 +202,7 @@ def twist_by_base_divisor(m: IntersectionModel,
     if T.is_zero():
         return m
     return m.replace_form({key: val + T.scale(k_l * gd)
-                           for key, val, k_l, gd in _l_slots(m)})
+                           for key, val, k_l, gd in m.l_slots()})
 
 
 def model_beta(m: IntersectionModel) -> Fraction:
@@ -236,4 +222,4 @@ def rescale_metric_const(m: IntersectionModel, c: float) -> IntersectionModel:
     beta = float(model_beta(m))
     return m.replace_form({
         key: val.shift_real(-2.0 * c * beta * k_l * float(gd))
-        for key, val, k_l, gd in _l_slots(m)})
+        for key, val, k_l, gd in m.l_slots()})

@@ -17,7 +17,7 @@ import weakref
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_limit
 
 # largest grid built: n_theta <= MAX_GRID, n_psi <= 2 * MAX_GRID and torus
 # n <= MAX_GRID, checked before anything is allocated (leggauss(4096)
@@ -40,12 +40,6 @@ class _Memo(list):
     entry in _MEMOS."""
 
     __slots__ = ("key", "__weakref__")
-
-
-def _check_size(name: str, size: int, cap: int) -> None:
-    if size > cap:
-        raise ValidationError(f"grid {name} = {size} is over the limit "
-                              f"of {cap}")
 
 
 def _parities(P, k0: int, nk: int):
@@ -96,8 +90,8 @@ class SphereGeometry:
         if self.n_theta < 1 or self.n_psi < 2:
             raise ValidationError("sphere grid needs n_theta >= 1 and "
                                   "n_psi >= 2")
-        _check_size("n_theta", self.n_theta, MAX_GRID)
-        _check_size("n_psi", self.n_psi, 2 * MAX_GRID)
+        _check_limit("grid n_theta", self.n_theta, MAX_GRID)
+        _check_limit("grid n_psi", self.n_psi, 2 * MAX_GRID)
         x, w = leggauss(self.n_theta)
         self.x = x                      # cos(theta), ascending
         self.theta = np.arccos(x)
@@ -318,7 +312,7 @@ class TorusGeometry:
         self.degree = int(degree)
         if self.n < 1 or self.degree < 1:
             raise ValidationError("torus grid needs n >= 1 and degree >= 1")
-        _check_size("n", self.n, MAX_GRID)
+        _check_limit("grid n", self.n, MAX_GRID)
         self.V = float(degree)
         self.shape = (self.n, self.n)
         self.weights = np.full(self.shape, self.V / self.n ** 2)

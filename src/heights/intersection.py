@@ -234,6 +234,23 @@ class IntersectionModel(FrozenValue):
     def K(self) -> FormalSum:
         return FormalSum(self.K_class)
 
+    def top_power(self, L: FormalSum | None = None) -> HeightValue:
+        """(L^{n+1}): the form on n+1 copies of L, by default the model's."""
+        return self.form.pair(*([self.L() if L is None else L] * (self.n + 1)))
+
+    def l_slots(self):
+        """(key, value, k_L, gd) per form entry with k_L >= 1 L-slots whose
+        other n slots have nonzero generic degree gd."""
+        for key, val in self.form.entries.items():
+            k_l = key.count(self.L_class)
+            if k_l == 0:
+                continue
+            rest = list(key)
+            rest.remove(self.L_class)
+            gd = self.generic_degree(rest)
+            if gd != 0:
+                yield key, val, k_l, gd
+
     def Sbar(self) -> Fraction:
         return Fraction(self.n) * (-self.deg_LK) / self.deg_Ln
 
@@ -310,10 +327,10 @@ class IntersectionModel(FrozenValue):
     def from_json(obj: dict) -> "IntersectionModel":
         with _json_field("classes"):
             classes = [DivisorClassId(
-                name=c["name"], kind=c.get("kind", KIND_AUXILIARY),
-                prime=(None if c.get("prime") is None
-                       else _json_int(c["prime"])),
-                component_id=c.get("component"))
+                _json_str(c["name"]), _json_str(c.get("kind", KIND_AUXILIARY)),
+                None if c.get("prime") is None else _json_int(c["prime"]),
+                None if c.get("component") is None
+                else _json_str(c["component"]))
                 for c in obj["classes"]]
         entries = {}
         with _json_field("form"):
@@ -323,11 +340,9 @@ class IntersectionModel(FrozenValue):
                 entries[tuple(k.split(","))] = HeightValue.from_json(v)
         with _json_field("fibers"):
             fibers = [FiberComponent(
-                prime=_json_int(f["prime"]), component_id=f["component_id"],
-                deg_L=json_rational(f["deg_L"]),
-                deg_LK=json_rational(f["deg_LK"]),
-                fiber_multiplicity=_json_int(
-                    f.get("fiber_multiplicity", 1)))
+                _json_int(f["prime"]), _json_str(f["component_id"]),
+                json_rational(f["deg_L"]), json_rational(f["deg_LK"]),
+                _json_int(f.get("fiber_multiplicity", 1)))
                 for f in obj.get("fibers", [])]
         with _json_field("generic_degrees"):
             generic_degrees = {
@@ -337,13 +352,16 @@ class IntersectionModel(FrozenValue):
         for name, convert in (("n", _json_int), ("degree_KQ", _json_int),
                               ("deg_Ln", json_rational),
                               ("deg_LK", json_rational),
-                              ("L_class", str), ("K_class", str)):
+                              ("L_class", _json_str), ("K_class", _json_str)):
             with _json_field(name):
                 fields[name] = convert(obj[name])
+        with _json_field("family"):
+            family = obj.get("family")
+            family = family if family is None else _json_str(family)
         return IntersectionModel(
             classes=classes, form=SymmetricForm(fields["n"] + 1, entries),
-            fibers=fibers, generic_degrees=generic_degrees,
-            family=obj.get("family"), **fields)
+            fibers=fibers, generic_degrees=generic_degrees, family=family,
+            **fields)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -366,6 +384,13 @@ def _json_int(v) -> int:
     if isinstance(v, bool):
         raise TypeError(f"expected an integer, got {v!r}")
     return operator.index(v)
+
+
+def _json_str(v) -> str:
+    """A JSON string: a list, an object or a number is not a name here."""
+    if not isinstance(v, str):
+        raise TypeError(f"expected a string, got {v!r}")
+    return v
 
 
 @contextmanager

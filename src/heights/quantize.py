@@ -20,7 +20,7 @@ from .geometry import SphereGeometry
 from .intersection import _check_family
 # the two scans are not used here: the benchmark's tracer and its tests
 # look them up under this module
-from .scans import (VOL_M_OMEGA, VOL_OMEGA, _check_m, _chow, _top_power,
+from .scans import (VOL_M_OMEGA, VOL_OMEGA, _check_m, _chow,
                     dequantization_scan, hilbert_samuel_residual)
 
 # largest tensor power m of a section Gram: the closed-form Gram holds
@@ -159,8 +159,8 @@ def chow_height(model, g: SectionGram) -> float:
     if g.volume_convention != VOL_M_OMEGA:
         raise ConventionMismatch(
             "Chow height requires the (m omega)^n volume convention")
-    return _chow(model, g.m, _top_power(model), float(model.deg_Ln),
-                 arithmetic_degree(g), g.rank)
+    return _chow(model, g.m, model.top_power().evaluate(),
+                 float(model.deg_Ln), arithmetic_degree(g), g.rank)
 
 
 def extended_chow_height(model, g: SectionGram, bergman_samples,

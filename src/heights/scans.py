@@ -14,7 +14,7 @@ import math
 import operator
 
 from ._frozen import FrozenValue
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, _check_limit
 from .intersection import _check_family
 
 VOL_OMEGA = "omega"
@@ -33,8 +33,7 @@ def _check_m(name: str, m: int, cap: int) -> None:
     """1 <= m <= cap, checked before anything of size m is allocated."""
     if m < 1:
         raise ValidationError(f"{name} must be >= 1")
-    if m > cap:
-        raise ValidationError(f"{name} = {m} is over the limit of {cap}")
+    _check_limit(name, m, cap)
 
 
 def p1_deg_hat_table(m_max: int) -> list:
@@ -66,11 +65,6 @@ def p1_deg_hat(m: int, volume_convention: str = VOL_M_OMEGA) -> float:
     return dh
 
 
-def _top_power(model) -> float:
-    """(L^{n+1})."""
-    return model.form.pair(*([model.L()] * (model.n + 1))).evaluate()
-
-
 def _chow(model, m: int, top: float, ln: float, deg_hat: float,
           rank: int) -> float:
     """(L_m^{n+1})/((n+1)(L_m^n)[K:Q]) - deg_hat/(rank [K:Q]), L_m = m L,
@@ -81,19 +75,15 @@ def _chow(model, m: int, top: float, ln: float, deg_hat: float,
 
 
 class ScanResult(FrozenValue):
-    """Fit and table of a scan; unlike the other values, mutable."""
+    """Fit and table of a scan."""
 
     _fields = ("fitted_constant", "fitted_log_slope", "table", "columns")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, fitted_constant: float, fitted_log_slope: float,
                  table: list | None = None, columns: tuple = ()):
-        self.fitted_constant = fitted_constant
-        self.fitted_log_slope = fitted_log_slope
-        self.table = [] if table is None else table
-        self.columns = columns
+        self.__dict__.update(
+            fitted_constant=fitted_constant, fitted_log_slope=fitted_log_slope,
+            table=[] if table is None else table, columns=columns)
 
 
 def _deg_hat_table(model, m_max: int) -> list:
@@ -108,7 +98,7 @@ def hilbert_samuel_residual(model, m_max: int):
     - B m^n/(2 n!)] with A = (L^{n+1}), B = (L^n.K)."""
     table = _deg_hat_table(model, m_max)
     n = model.n
-    A = _top_power(model)
+    A = model.top_power().evaluate()
     B = model.form.pair(*([model.L()] * n + [model.K()])).evaluate()
     Ln = float(model.deg_Ln)
     f_top = math.factorial(n + 1)
@@ -165,7 +155,7 @@ def dequantization_scan(model, m_max: int) -> ScanResult:
         raise ValidationError(f"m_max must be >= {MIN_FIT_M} for the "
                               f"4-parameter tail fit")
     deg_hats = _deg_hat_table(model, m_max)
-    n, A, Ln = model.n, _top_power(model), float(model.deg_Ln)
+    n, A, Ln = model.n, model.top_power().evaluate(), float(model.deg_Ln)
     table = []
     for m, dh in enumerate(deg_hats, start=1):
         hc = _chow(model, m, A, Ln, dh, m + 1)

@@ -1,12 +1,15 @@
 """CLI plumbing: subcommands, emit formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import re
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from brute_force import primes_to
 from heights import families, quantize, scans
@@ -155,6 +158,30 @@ def _boolean_fiber_multiplicity(obj):
     obj["fibers"][0]["fiber_multiplicity"] = True
 
 
+def _list_family(obj):
+    obj["family"] = ["p1-fs"]
+
+
+def _object_family(obj):
+    obj["family"] = {"id": "p1-fs"}
+
+
+def _list_class_name(obj):
+    obj["classes"][0]["name"] = ["L"]
+
+
+def _list_component_id(obj):
+    obj["fibers"][0]["component_id"] = ["fiber"]
+
+
+def _number_l_class(obj):
+    obj["L_class"] = 5
+
+
+def _list_k_class(obj):
+    obj["K_class"] = ["K"]
+
+
 @pytest.mark.parametrize("malform, field", [
     (_malform_deg_ln, "deg_Ln"),
     (_drop_k_class, "K_class"),
@@ -181,6 +208,12 @@ def _boolean_fiber_multiplicity(obj):
     (_fractional_fiber_multiplicity, "fibers"),
     (_float_fiber_prime, "fibers"),
     (_boolean_fiber_multiplicity, "fibers"),
+    (_list_family, "family"),
+    (_object_family, "family"),
+    (_list_class_name, "classes"),
+    (_list_component_id, "fibers"),
+    (_number_l_class, "L_class"),
+    (_list_k_class, "K_class"),
 ])
 def test_malformed_model_field_exits_2(tmp_path, capsys, malform, field):
     obj = build_p1_fs().to_json()
@@ -336,6 +369,29 @@ def test_compute_relative_to_names_the_reference(capsys):
     assert out.out == "" and "--relative-to" in out.err
 
 
+def test_compute_relative_to_needs_a_pair(capsys):
+    code, out, err = run(["compute", "--family", "p1-fs", "--relative-to",
+                          "base"], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "--relative-to needs a family with a reference model" in err
+
+
+def test_compute_ndf(capsys):
+    # on P^1 ([K:Q] = 1) the normalized degree over cover degree 1 is h_K
+    rows = {}
+    for fn, degree in (("hk", "1"), ("ndf", "1"), ("ndf", "2")):
+        code, out, _ = run(["compute", "--family", "p1-fs", "--functional",
+                            fn, "--cover-degree", degree, "--emit", "json"],
+                           capsys)
+        assert code == 0
+        rows[fn, degree] = json.loads(out)[0]
+    assert rows["ndf", "1"] == {**rows["hk", "1"], "functional": "ndf"}
+    assert rows["ndf", "2"]["value"] == rows["hk", "1"]["value"] / 2
+    code, out, err = run(["compute", "--family", "p1-fs", "--functional",
+                          "ndf", "--cover-degree", "0"], capsys)
+    assert code == 2 and out == "" and "ZeroCoverDegree" in err
+
+
 def test_compute_energy(capsys):
     # (L.L) = 1/2 on P^1; (L^3) = -20 log(2 3 5) on the blow-up, twist 2
     code, out, _ = run(["compute", "--family", "p1-fs",
@@ -477,6 +533,14 @@ def test_balanced_bad_tol_exits_2(capsys):
         assert code == 2 and "ValidationError" in err
 
 
+def test_balanced_negative_seed_exits_2(capsys):
+    # refused before numpy's generator sees it
+    code, out, err = run(["balanced", "--family", "p1-fs", "--m", "1",
+                          "--seed", "-1"], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "ValidationError: --seed must be >= 0" in err
+
+
 def test_bp_report(capsys):
     code, out, _ = run(["bp", "--weights", "8,15,7", "--prime", "11"],
                        capsys)
@@ -545,6 +609,15 @@ def test_faltings_both_methods(capsys):
         bym["agm"]["h_faltings"], abs=1e-10)
     assert bym["qexp"]["h_K"] == pytest.approx(
         4 * (bym["qexp"]["h_faltings"] + 0.5 * 0.6931471805599453))
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_faltings_polarization_below_one_exits_2(capsys, degree):
+    # 0 is refused like -1, not read as "no polarization"
+    code, out, err = run(["faltings", "--curve", "37a1",
+                          "--polarization", degree], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "polarization degree must be >= 1" in err
 
 
 def test_faltings_nonminimal_exits_2(capsys):
@@ -689,3 +762,121 @@ def test_balanced_saved_model_matches_family(tmp_path, capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# -- the trust boundary: mutated model files and argv tokens ------------
+
+def _exit_code(argv):
+    """main's exit code with its output dropped; argparse exits 2."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def _json_paths(node, path=()):
+    """Every key path into a JSON tree."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict)
+                           else enumerate(node)):
+            yield path + (key,)
+            yield from _json_paths(child, path + (key,))
+
+
+MODEL_JSON = {"p1": build_p1_fs().to_json(),
+              "blowup": families.build_p2_blowup_family().model.to_json()}
+MODEL_PATHS = [(name, path) for name, obj in MODEL_JSON.items()
+               for path in _json_paths(obj)]
+DROP = "drop the field"
+# a value of every JSON type, two past the float range and an integer
+# string at the int-to-text limit
+ODD_JSON = [[], ["L"], {}, {"a": 1}, True, False, "x", "", None,
+            10 ** 400, 1e308, -0.0, "7" * 4300]
+
+
+@given(case=st.sampled_from(MODEL_PATHS),
+       value=st.sampled_from([DROP, *ODD_JSON]))
+@example(case=("p1", ("family",)), value=["p1-fs"])
+@example(case=("p1", ("family",)), value={"a": 1})
+@example(case=("p1", ("classes", 0, "name")), value=["L"])
+@example(case=("p1", ("fibers", 0, "component_id")), value=["L"])
+@example(case=("p1", ("degree_KQ",)), value=10 ** 400)
+@example(case=("p1", ("degree_KQ",)), value=10 ** 308)
+@example(case=("p1", ("deg_Ln",)), value=1e308)
+@settings(max_examples=150, deadline=None)
+def test_mutated_model_file_exits_0_2_or_3(tmp_path_factory, case, value):
+    # each subcommand that reads a model refuses or evaluates a file with
+    # one field dropped or retyped; no exception escapes main
+    name, path = case
+    obj = json.loads(json.dumps(MODEL_JSON[name]))
+    *head, last = path
+    node = obj
+    for key in head:
+        node = node[key]
+    if value == DROP:
+        del node[last]
+    else:
+        node[last] = value
+    model = tmp_path_factory.getbasetemp() / "mutated.json"
+    model.write_text(json.dumps(obj))
+    for argv in (["validate"],
+                 ["compute", "--functional", "hk,energy,ndf,slope,calabi"],
+                 ["scan", "--m-max", "6"],
+                 ["scan", "--m-max", "6", "--kind", "hilbert-samuel"],
+                 ["balanced", "--m", "1", "--grid", "8", "--max-iter", "2"]):
+        assert _exit_code(argv + ["--model", str(model)]) in (0, 2, 3), argv
+
+
+NUMERIC_ARGVS = [
+    ["compute", "--family", "p2-blowup", "--primes", "2,3", "--functional",
+     "hk,energy,ndf,calabi,snA,I,J", "--prime", "3", "--cover-degree", "2",
+     "--arch-term", "0.5"],
+    ["scan", "--family", "p1-fs", "--m-max", "12"],
+    ["scan", "--family", "p1-fs", "--kind", "hilbert-samuel", "--m-max",
+     "12"],
+    ["bp", "--weights", "8,15,7", "--prime", "11", "--degree-bound", "6"],
+    ["faltings", "--curve", "37a1", "--polarization", "2"],
+    ["faltings", "--a-invariants", "0,0,1,-1,0", "--delta-min", "37"],
+    ["balanced", "--family", "p1-fs", "--m", "1", "--grid", "8",
+     "--max-iter", "2", "--perturb", "0.1", "--tol", "1e-10", "--seed",
+     "0"],
+]
+# (argv, token) of every numeric token; validate takes none
+NUMERIC_TOKENS = [(i, j) for i, argv in enumerate(NUMERIC_ARGVS)
+                  for j, tok in enumerate(argv)
+                  if re.fullmatch(r"[-.,e\d]+", tok)]
+ODD_TOKENS = ["-1", "0", "1", "-0.0", "1e308", "nan", "inf", "x", "",
+              str(10 ** 400), "9" * 4300]
+
+
+def _after(i, option):
+    """(argv, token) of the value of option in NUMERIC_ARGVS[i]."""
+    return i, NUMERIC_ARGVS[i].index(option) + 1
+
+
+def _with_token(i, j, part, value):
+    """NUMERIC_ARGVS[i] with comma-separated part `part` of token j
+    replaced by value."""
+    argv = list(NUMERIC_ARGVS[i])
+    parts = argv[j].split(",")
+    parts[part % len(parts)] = value
+    argv[j] = ",".join(parts)
+    return argv
+
+
+@given(token=st.sampled_from(NUMERIC_TOKENS),
+       part=st.integers(0, 4), value=st.sampled_from(ODD_TOKENS))
+@example(token=_after(6, "--seed"), part=0, value="-1")
+@example(token=_after(4, "--polarization"), part=0, value="0")
+@example(token=_after(4, "--polarization"), part=0, value=str(10 ** 400))
+@example(token=_after(3, "--degree-bound"), part=0, value="9" * 4300)
+# a last exponent coprime to the others, whose generator box has more
+# than 4300 digits
+@example(token=_after(3, "--weights"), part=2, value=str(10 ** 2200 + 1))
+@example(token=_after(5, "--a-invariants"), part=0, value="9" * 4300)
+@settings(max_examples=200, deadline=None)
+def test_mutated_numeric_token_exits_0_2_or_3(token, part, value):
+    argv = _with_token(*token, part, value)
+    assert _exit_code(argv) in (0, 2, 3), argv

@@ -235,8 +235,9 @@ def test_every_private_module_name_is_used():
 
 def test_only_intersection_knows_the_form_key_format():
     # a form's key format stays inside intersection: no other module
-    # imports or reaches form_key, or subscripts an `.entries` attribute
-    # (SymmetricForm.value reads an entry)
+    # imports or reaches form_key, or reads an `.entries` attribute
+    # (SymmetricForm.value reads an entry, IntersectionModel.l_slots walks
+    # the L-slots)
     src = Path(heights.__file__).resolve().parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -248,8 +249,6 @@ def test_only_intersection_knows_the_form_key_format():
                 found.append(f"{path.name}:{node.lineno} imports form_key")
             elif isinstance(node, ast.Attribute) and node.attr == "form_key":
                 found.append(f"{path.name}:{node.lineno} reads form_key")
-            elif (isinstance(node, ast.Subscript)
-                  and isinstance(node.value, ast.Attribute)
-                  and node.value.attr == "entries"):
-                found.append(f"{path.name}:{node.lineno} subscripts entries")
+            elif isinstance(node, ast.Attribute) and node.attr == "entries":
+                found.append(f"{path.name}:{node.lineno} reads entries")
     assert found == []

@@ -296,6 +296,12 @@ def test_twist_by_base_divisor_preserves_hk():
     assert not tw.form.value(("L", "L")).exact_eq(m.form.value(("L", "L")))
 
 
+def test_twist_by_zero_base_divisor_returns_the_model():
+    m = simple_model()
+    assert twist_by_base_divisor(m, {}) is m
+    assert twist_by_base_divisor(m, {2: 0, 5: Fraction(0)}) is m
+
+
 def test_twist_by_composite_label_rejected():
     with pytest.raises(NonPrimeLabel):
         twist_by_base_divisor(simple_model(), {2: Fraction(1), 6: Fraction(1)})
@@ -459,6 +465,15 @@ def test_model_pair_rejects_mismatched_joint_form():
     with pytest.raises(ValidationError):
         ModelPair(model=m, ref=ref, joint_form=joint,
                   ref_map={"L": "Lr", "K": "Kr"})
+
+
+def test_model_pair_rejects_joint_form_missing_a_monomial():
+    m = simple_model()
+    entries = dict(m.form.entries)
+    del entries[("K", "L")]
+    with pytest.raises(IncompleteJointForm,
+                       match=r"misses embedded monomial \('K', 'L'\)"):
+        ModelPair(model=m, ref=m, joint_form=SymmetricForm(2, entries))
 
 
 @pytest.mark.parametrize("off, ok", [(5e-10, True), (2e-9, False)])
