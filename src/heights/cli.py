@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -164,6 +165,8 @@ def run_scan(args) -> int:
 def run_balanced(args) -> int:
     if args.seed < 0:       # numpy's generator takes no negative seed
         raise ValidationError("--seed must be >= 0")
+    if not math.isfinite(args.perturb):
+        raise ValidationError("--perturb must be finite")
     # the family (and the families module) before numpy: compiled after
     # numpy's allocations, the module raised the peak RSS by 0.3-0.8 MB
     model, _ = _load_family(args)
@@ -192,9 +195,10 @@ def run_balanced(args) -> int:
         sym = rng.standard_normal((r, r))
         sym = (sym + sym.T) / 2.0
         sym -= np.trace(sym) / r * np.eye(r)
-        g0 = SectionGram(g0.m, g0.basis,
-                         g0.gram * np.exp(args.perturb * sym),
-                         g0.volume_convention)
+        # past the float range: inf or nan entries, which SectionGram refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = g0.gram * np.exp(args.perturb * sym)
+        g0 = SectionGram(g0.m, g0.basis, raw, g0.volume_convention)
     g, iters, converged, trace = balanced_iterate(
         g0, geometry, tol=args.tol, max_iter=args.max_iter, model=model)
     rows = [{"iteration": it, "distance": d, "htilde_C": h}

@@ -130,9 +130,8 @@ def metric_model_pair(model, phi: PotentialField):
         (Kk, Kk): f1((Kk, Kk)),
     }
     joint = SymmetricForm(2, entries)
-    return ModelPair(
-        model=changed, ref=model, joint_form=joint,
-        model_map={Lk: Lk, Kk: Kk}, ref_map={Lk: L0, Kk: K0})
+    return ModelPair(model=changed, ref=model, joint_form=joint,
+                     ref_map={Lk: L0, Kk: K0})
 
 
 def cubic_identity_check(torus):

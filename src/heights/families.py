@@ -143,8 +143,7 @@ def build_p2_blowup_family(primes=(2, 3, 5), twist: int = 2,
     # the base form is zero, so the blown model's (L^3) and (L^2.K) are
     # the changes the oracle predicts
     if validate:
-        dA = blown.top_power()
-        dB = blown.form.pair(blown.L(), blown.L(), blown.K())
+        dA, dB = blown.top_power(), blown.lnk()
         wantA = HeightValue(log_terms={p: orc["delta_L3"] for p in primes})
         wantB = HeightValue(log_terms={p: orc["delta_L2K"] for p in primes})
         if not (dA.exact_eq(wantA) and dB.exact_eq(wantB)):

@@ -22,8 +22,7 @@ from .intersection import (KIND_VERTICAL, FormalSum, IntersectionModel,
 
 def _hk_terms(m: IntersectionModel, L: FormalSum):
     """(L^{n+1}), (L^n.K) and -n*deg_LK*(L^{n+1}) + (n+1)*deg_Ln*(L^n.K)."""
-    a = m.top_power(L)
-    b = m.form.pair(*([L] * m.n + [m.K()]))
+    a, b = m.top_power(L), m.lnk(L)
     return a, b, a.scale(-m.n * m.deg_LK) + b.scale((m.n + 1) * m.deg_Ln)
 
 
@@ -59,7 +58,7 @@ def _rel(pair: ModelPair, first: list, second: list) -> HeightValue:
 
 def _pair_energy(pair: ModelPair) -> HeightValue:
     n = pair.model.n
-    return _rel(pair, [pair.mL()] * (n + 1), [pair.rL()] * (n + 1))
+    return _rel(pair, [pair.model.L()] * (n + 1), [pair.rL()] * (n + 1))
 
 
 def ricci_energy_rel(pair: ModelPair) -> HeightValue:
@@ -70,20 +69,19 @@ def ricci_energy_rel(pair: ModelPair) -> HeightValue:
     """
     n = pair.model.n
     return _rel(pair, [pair.rL()] * n + [pair.rK()],
-                [pair.mL()] * n + [pair.rK()])
+                [pair.model.L()] * n + [pair.rK()])
 
 
 def entropy_rel(pair: ModelPair) -> HeightValue:
     """(1/[K:Q]) * ( (p*L)^n . (p*K - q*K_ref) )."""
-    n = pair.model.n
-    return _rel(pair, [pair.mL()] * n + [pair.mK()],
-                [pair.mL()] * n + [pair.rK()])
+    m = pair.model
+    return _rel(pair, [m.L()] * m.n + [m.K()], [m.L()] * m.n + [pair.rK()])
 
 
 def aubin_I_rel(pair: ModelPair) -> HeightValue:
     """I^{Ar} = (1/d)[ (L-r).r^n - (L-r).L^n ] with L = p*L, r = q*L_ref."""
     n = pair.model.n
-    L, r = pair.mL(), pair.rL()
+    L, r = pair.model.L(), pair.rL()
     diff = L - r
     return _rel(pair, [r] * n + [diff], [L] * n + [diff])
 
@@ -91,7 +89,7 @@ def aubin_I_rel(pair: ModelPair) -> HeightValue:
 def aubin_J_rel(pair: ModelPair) -> HeightValue:
     """J^{Ar} = (1/d)[ (L-r).r^n - ( L^{n+1} - r^{n+1} )/(n+1) ]."""
     n, d = pair.model.n, pair.model.degree_KQ
-    L, r = pair.mL(), pair.rL()
+    L, r = pair.model.L(), pair.rL()
     a = pair.joint_form.pair(*([r] * n + [L - r]))
     b = pair.joint_form.pair(*([L] * (n + 1)))
     c = pair.joint_form.pair(*([r] * (n + 1)))

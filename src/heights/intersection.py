@@ -238,6 +238,11 @@ class IntersectionModel(FrozenValue):
         """(L^{n+1}): the form on n+1 copies of L, by default the model's."""
         return self.form.pair(*([self.L() if L is None else L] * (self.n + 1)))
 
+    def lnk(self, L: FormalSum | None = None) -> HeightValue:
+        """(L^n.K): n copies of L, by default the model's, and K."""
+        return self.form.pair(*([self.L() if L is None else L] * self.n),
+                              self.K())
+
     def l_slots(self):
         """(key, value, k_L, gd) per form entry with k_L >= 1 L-slots whose
         other n slots have nonzero generic degree gd."""
@@ -408,27 +413,24 @@ def _json_field(name: str):
 class ModelPair(FrozenValue):
     """Two models of the same generic fiber joined on a common resolution.
 
-    joint_form lives on the union of the class lists; model_map / ref_map
-    translate constituent class names into joint names.  Pure-model
-    monomials must agree with the constituents' own forms.
+    joint_form lives on the union of the class lists, under the model's
+    class names and ref_map's joint names for the reference's classes.
+    Pure-model monomials must agree with the constituents' own forms.
     """
 
-    _fields = ("model", "ref", "joint_form", "model_map", "ref_map")
+    _fields = ("model", "ref", "joint_form", "ref_map")
 
     def __init__(self, model: IntersectionModel, ref: IntersectionModel,
                  joint_form: SymmetricForm,
-                 model_map: Mapping[str, str] | None = None,
                  ref_map: Mapping[str, str] | None = None):
         if not model.same_generic_fiber(ref):
             raise GenericFiberMismatch(
                 "pair constituents must share the generic fiber data")
-        if model_map is None:
-            model_map = {c.name: c.name for c in model.classes}
         if ref_map is None:
             ref_map = {c.name: c.name for c in ref.classes}
-        for m, mp in ((model, model_map), (ref, ref_map)):
+        for m, mp in ((model, None), (ref, ref_map)):
             for key, val in m.form.entries.items():
-                jkey = form_key(mp[nm] for nm in key)
+                jkey = key if mp is None else form_key(mp[nm] for nm in key)
                 if jkey not in joint_form.entries:
                     raise IncompleteJointForm(
                         f"joint form misses embedded monomial {jkey}")
@@ -436,13 +438,7 @@ class ModelPair(FrozenValue):
                     raise ValidationError(
                         f"joint form disagrees with constituent on {jkey}")
         self.__dict__.update(model=model, ref=ref, joint_form=joint_form,
-                             model_map=model_map, ref_map=ref_map)
-
-    def mL(self) -> FormalSum:
-        return FormalSum(self.model_map[self.model.L_class])
-
-    def mK(self) -> FormalSum:
-        return FormalSum(self.model_map[self.model.K_class])
+                             ref_map=ref_map)
 
     def rL(self) -> FormalSum:
         return FormalSum(self.ref_map[self.ref.L_class])

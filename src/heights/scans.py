@@ -99,7 +99,7 @@ def hilbert_samuel_residual(model, m_max: int):
     table = _deg_hat_table(model, m_max)
     n = model.n
     A = model.top_power().evaluate()
-    B = model.form.pair(*([model.L()] * n + [model.K()])).evaluate()
+    B = model.lnk().evaluate()
     Ln = float(model.deg_Ln)
     f_top = math.factorial(n + 1)
     f_log = 4.0 * math.factorial(n - 1)

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import time
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -531,6 +532,19 @@ def test_balanced_bad_tol_exits_2(capsys):
                 ["--max-iter", "-1"], ["--grid", "0"], ["--grid", "-4"]):
         code, _, err = run(["balanced", "--family", "p1-fs", *bad], capsys)
         assert code == 2 and "ValidationError" in err
+
+
+def test_balanced_perturb_past_the_float_range_exits_2_quietly(capsys):
+    # 1e308 overflows the perturbation, which the Gram check refuses; nan
+    # is refused by name; neither makes numpy warn
+    for perturb, msg in (("1e308", "gram must be finite"),
+                         ("nan", "--perturb must be finite")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(["balanced", "--family", "p1-fs", "--m",
+                                  "1", "--grid", "8", "--perturb", perturb],
+                                 capsys)
+        assert code == 2 and out == "" and msg in err
 
 
 def test_balanced_negative_seed_exits_2(capsys):

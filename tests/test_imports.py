@@ -252,3 +252,17 @@ def test_only_intersection_knows_the_form_key_format():
             elif isinstance(node, ast.Attribute) and node.attr == "entries":
                 found.append(f"{path.name}:{node.lineno} reads entries")
     assert found == []
+
+
+def test_only_intersection_and_functionals_pair_a_form():
+    # every other module reads (L^{n+1}) and (L^n.K) through the model's
+    # top_power and lnk (toric's ToricThreefold.product is its own method)
+    src = Path(heights.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             if path.name not in ("intersection.py", "functionals.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "pair"]
+    assert found == []

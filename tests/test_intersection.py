@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import blowup_primitive_form, blowup_subs
+from brute_force import blowup_primitive_form, blowup_subs, primes_to
 from heights import heightvalue, intersection
 from heights.errors import (IncompleteJointForm, MissingGenericDegree,
                             NonPrimeLabel, UnknownComponent, UnknownPrime,
@@ -430,6 +430,26 @@ def test_twist_derivative_matches_eps_grid():
     assert central.exact_eq(d)
     with pytest.raises(UnknownComponent):
         component_twist_derivative(m, 7, "missing")
+
+
+def test_lnk_is_the_written_out_pairing():
+    # (L^n.K) on the model's L, and on the twist L + eps*E that
+    # normalized_df_twisted pairs, is the pairing written out slot by
+    # slot, to the last bit, and agrees with the product expansion
+    m = two_component_model()
+    cases = [(build_p1_fs(), None),
+             (build_p2_blowup_family((2, 3, 5)).model, None),
+             (build_p2_blowup_family(primes_to(37)).model, None),
+             (m, m.L() + FormalSum("E1").scale(Fraction(1, 100)))]
+    for model, L in cases:
+        slots = [model.L() if L is None else L] * model.n + [model.K()]
+        got, want = model.lnk(L), model.form.pair(*slots)
+        assert got.const_part == want.const_part
+        assert got.log_terms == want.log_terms
+        assert got.real_part == want.real_part
+        assert got.real_exact == want.real_exact
+        assert_same_pairing(got, pair_by_product(model.form, *slots),
+                            real_term_size(model.form, *slots))
 
 
 def test_twist_derivative_vanishes_iff_constant_snA():

@@ -38,12 +38,10 @@ CASES = [
     (IntersectionModel, (1, 1, P1.classes, P1.form, "L", "K", 1, -2,
                          P1.fibers, {}, "p1-fs"),
      MODEL_KW, (1, 1, P1.classes, P1.form, "L", "K", 1, -2, P1.fibers)),
-    (ModelPair, (PAIR.model, PAIR.ref, PAIR.joint_form, PAIR.model_map,
-                 PAIR.ref_map),
+    (ModelPair, (PAIR.model, PAIR.ref, PAIR.joint_form, PAIR.ref_map),
      dict(model=PAIR.model, ref=PAIR.ref, joint_form=PAIR.joint_form,
-          model_map=dict(PAIR.model_map), ref_map=dict(PAIR.ref_map)),
-     (PAIR.model, PAIR.model, PAIR.joint_form, PAIR.model_map,
-      PAIR.model_map)),
+          ref_map=dict(PAIR.ref_map)),
+     (PAIR.model, PAIR.model, PAIR.joint_form)),
     (BrieskornPhamSpec, ([8, 15, 7], 11), dict(weights=(8, 15, 7), prime=11),
      ((8, 15, 7), 13)),
     (EllipticCurveData, ([0, 0, 1, -1, 0], 37),
@@ -173,7 +171,6 @@ def test_repr_is_the_dataclass_repr():
     assert repr(PAIR) == (
         f"ModelPair(model={PAIR.model!r}, ref={PAIR.ref!r}, "
         f"joint_form={PAIR.joint_form!r}, "
-        "model_map={'L': 'L', 'K': 'K', 'F2': 'F2'}, "
         "ref_map={'L': 'L_base', 'K': 'K_base'})")
 
 
@@ -186,4 +183,4 @@ def test_defaults_are_fresh_and_normalized():
     assert model.generic_degrees == {} and model.fibers == P1.fibers
     assert model.deg_Ln == Fraction(1) and isinstance(model.deg_LK, Fraction)
     pair = ModelPair(P1, P1, P1.form)
-    assert pair.model_map == pair.ref_map == {"L": "L", "K": "K"}
+    assert pair.ref_map == {"L": "L", "K": "K"}
