@@ -45,9 +45,9 @@ def _parse_primes(s: str):
 
 
 def _load_family(args):
-    if getattr(args, "model", None):
+    if args.model:
         return IntersectionModel.load(args.model), None
-    fam = getattr(args, "family", None)
+    fam = args.family
     if fam in ("p1-fs", "p1"):
         from .families import build_p1_fs
 
@@ -89,7 +89,7 @@ def _emit(rows, emit: str, stream=None):
                      + "\n")
 
 
-def run_compute(args) -> int:
+def run_compute(args) -> list:
     from .functionals import (arakelov_calabi, arakelov_energy, aubin_I_rel,
                               aubin_J_rel, entropy_rel, modular_height,
                               na_scalar_curvature, normalized_df,
@@ -135,11 +135,10 @@ def run_compute(args) -> int:
                          "value": ""})
         else:
             raise ValidationError(f"unknown functional {fn!r}")
-    _emit(rows, args.emit)
-    return EXIT_OK
+    return rows
 
 
-def run_scan(args) -> int:
+def run_scan(args) -> list:
     model, _ = _load_family(args)
     from .scans import dequantization_scan, hilbert_samuel_residual
 
@@ -158,11 +157,10 @@ def run_scan(args) -> int:
             _emit(rows, "csv", fh)
         with open(args.out + ".fit.json", "w") as fh:
             json.dump(fit, fh, indent=1)
-    _emit([fit], args.emit)
-    return EXIT_OK
+    return [fit]
 
 
-def run_balanced(args) -> int:
+def run_balanced(args) -> list:
     if args.seed < 0:       # numpy's generator takes no negative seed
         raise ValidationError("--seed must be >= 0")
     if not math.isfinite(args.perturb):
@@ -208,11 +206,10 @@ def run_balanced(args) -> int:
     if args.out:
         with open(args.out, "w", newline="") as fh:
             _emit(rows, "csv", fh)
-    _emit(rows if args.emit != "table" else rows[-3:], args.emit)
-    return EXIT_OK
+    return rows if args.emit != "table" else rows[-3:]
 
 
-def run_bp(args) -> int:
+def run_bp(args) -> dict:
     from .families import BrieskornPhamSpec, brieskorn_pham_analyze
 
     weights = _parse_ints("--weights", args.weights)
@@ -222,11 +219,10 @@ def run_bp(args) -> int:
            for k, v in rep.items()}
     out["log_discrepancies"] = {k: str(v)
                                 for k, v in rep["log_discrepancies"].items()}
-    _emit(out, "json")
-    return EXIT_OK
+    return out
 
 
-def run_faltings(args) -> int:
+def run_faltings(args) -> list:
     from .families import (EllipticCurveData, curve_from_label, curve_periods,
                            faltings_from_periods, faltings_to_hk)
 
@@ -250,19 +246,17 @@ def run_faltings(args) -> int:
         rows.append(row)
     rows.append({"method": "tau", "h_faltings": str(per["tau"]),
                  **({"h_K": ""} if args.polarization is not None else {})})
-    _emit(rows, args.emit)
-    return EXIT_OK
+    return rows
 
 
-def run_validate(args) -> int:
+def run_validate(args) -> list:
     model = IntersectionModel.load(args.model)
     rows = [{
         "check": "ok", "n": model.n, "classes": len(model.classes),
         "deg_Ln": str(model.deg_Ln), "deg_LK": str(model.deg_LK),
         "Sbar": str(model.Sbar()),
     }]
-    _emit(rows, args.emit)
-    return EXIT_OK
+    return rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--weights", required=True)
     q.add_argument("--prime", type=int, required=True)
     q.add_argument("--degree-bound", type=int, default=12)
-    q.set_defaults(func=run_bp)
+    q.set_defaults(func=run_bp, emit="json")
 
     f = sub.add_parser("faltings", parents=[emit],
                        help="elliptic Faltings heights")
@@ -335,12 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        _emit(args.func(args), args.emit)
+        return EXIT_OK
     except (NumericError, OverflowError) as exc:   # past the float range
         print(f"numeric failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValidationError, HeightsError, OSError) as exc:
+    except (HeightsError, OSError) as exc:
         print(f"validation error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_VALIDATION

@@ -67,7 +67,7 @@ def ricci_density(geometry, omega_density) -> np.ndarray:
 def scalar_curvature_l2(geometry, omega_density) -> float:
     """(1/n^2) * int S(omega_h)^2 omega_h^n."""
     omega_density = np.asarray(omega_density, float)
-    if np.min(omega_density) <= 0:
+    if not np.all(omega_density > 0):
         raise ValidationError("metric density must be positive")
     S = ricci_density(geometry, omega_density) / omega_density
     return geometry.quad(S * S * omega_density)

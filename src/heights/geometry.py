@@ -96,13 +96,14 @@ class SphereGeometry:
         self.x = x                      # cos(theta), ascending
         self.theta = np.arccos(x)
         self.psi = 2.0 * np.pi * np.arange(self.n_psi) / self.n_psi
-        # weights of mu_ref = dA/(4 pi); GL weights sum to 2
-        self.weights = np.outer(w / 2.0, np.full(self.n_psi, 1.0 / self.n_psi))
         self.V = 1.0
         self.lmax = min(self.n_theta - 1, self.n_psi // 2 - 1)
         self.shape = (self.n_theta, self.n_psi)
         self.default_Sbar = 2.0
-        # read-only stride-0 views, like TorusGeometry.ric
+        # read-only stride-0 views, like TorusGeometry's: the weights of
+        # mu_ref = dA/(4 pi) (GL weights sum to 2) are constant along psi
+        self.weights = np.broadcast_to((w / 2.0)[:, None] * (1.0 / self.n_psi),
+                                       self.shape)
         self.ric = np.broadcast_to(2.0, self.shape)
         # P_l^m(-x) = (-1)^(l+m) P_l^m(x) and the nodes and weights are
         # mirror-symmetric, so transforms run on the northern half; its
@@ -315,7 +316,7 @@ class TorusGeometry:
         _check_limit("grid n", self.n, MAX_GRID)
         self.V = float(degree)
         self.shape = (self.n, self.n)
-        self.weights = np.full(self.shape, self.V / self.n ** 2)
+        self.weights = np.broadcast_to(self.V / self.n ** 2, self.shape)
         k = np.fft.fftfreq(self.n, d=1.0 / self.n)
         kk, ll = np.meshgrid(k, k, indexing="ij")
         # flat Laplacian multiplier for modes e^{2 pi i (k x + l y)},

@@ -136,17 +136,26 @@ class HeightValue(FrozenValue):
 
     # -- arithmetic ---------------------------------------------------
 
+    @classmethod
+    def _combine(cls, terms) -> "HeightValue":
+        """Sum of c * v over the (c, v) pairs of terms, c rational: the one
+        place where values are added.  real_exact is the AND over every v,
+        a term with c = 0 included, so that a cancelled term still reports
+        an inexact remainder; such a term adds nothing else.  The float
+        sum starts at 0.0 and runs in the order of terms."""
+        const, logs, real, real_exact = Fraction(0), {}, 0.0, True
+        for c, v in terms:
+            real_exact = real_exact and v.real_exact
+            if not c:
+                continue
+            const += c * v.const_part
+            for p, lc in v.log_terms.items():
+                logs[p] = logs[p] + c * lc if p in logs else c * lc
+            real += float(c) * v.real_part
+        return cls._from_parts(const, logs, real, real_exact)
+
     def __add__(self, other: "HeightValue") -> "HeightValue":
-        other = as_height(other)
-        logs = dict(self.log_terms)
-        for p, c in other.log_terms.items():
-            logs[p] = logs.get(p, Fraction(0)) + c
-        return HeightValue._from_parts(
-            self.const_part + other.const_part,
-            logs,
-            self.real_part + other.real_part,
-            self.real_exact and other.real_exact,
-        )
+        return HeightValue._combine(((1, self), (1, as_height(other))))
 
     def __radd__(self, other):
         if other == 0:
@@ -154,15 +163,10 @@ class HeightValue(FrozenValue):
         return as_height(other) + self
 
     def __neg__(self) -> "HeightValue":
-        return HeightValue._from_parts(
-            -self.const_part,
-            {p: -c for p, c in self.log_terms.items()},
-            -self.real_part,
-            self.real_exact,
-        )
+        return self.scale(-1)
 
     def __sub__(self, other: "HeightValue") -> "HeightValue":
-        return self + (-as_height(other))
+        return HeightValue._combine(((1, self), (-1, as_height(other))))
 
     def scale(self, q: RationalLike) -> "HeightValue":
         q = _frac(q)

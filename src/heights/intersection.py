@@ -163,17 +163,8 @@ class SymmetricForm:
                     cq = c * q
                     merged[k] = merged[k] + cq if k in merged else cq
             coeffs = merged
-        const, logs, real, real_exact = Fraction(0), {}, 0.0, True
-        for key, c in coeffs.items():
-            v = self.value(key)
-            real_exact = real_exact and v.real_exact
-            if not c:
-                continue
-            const += c * v.const_part
-            for p, lc in v.log_terms.items():
-                logs[p] = logs[p] + c * lc if p in logs else c * lc
-            real += float(c) * v.real_part
-        return HeightValue._from_parts(const, logs, real, real_exact)
+        return HeightValue._combine((c, self.value(key))
+                                    for key, c in coeffs.items())
 
     def is_total_over(self, names: Sequence[str]) -> bool:
         for key in itertools.combinations_with_replacement(sorted(names),

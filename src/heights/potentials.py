@@ -32,11 +32,14 @@ class PotentialField:
         if samples.shape != geometry.shape:
             raise ValidationError(
                 f"sample shape {samples.shape} != grid {geometry.shape}")
+        if not np.all(np.isfinite(samples)):
+            raise ValidationError("potential samples must be finite")
         self.geometry = geometry
         self.samples = samples
         self.ddc = geometry.ddc(samples) if _ddc is None else _ddc
         self.omega_phi = 1.0 + self.ddc
-        if np.min(self.omega_phi) <= POSITIVITY_MARGIN:
+        # written so that a NaN density fails it too
+        if not np.all(self.omega_phi > POSITIVITY_MARGIN):
             raise NonKahler(
                 "omega_phi loses positivity (min density "
                 f"{np.min(self.omega_phi):.3e})")
@@ -154,5 +157,8 @@ def load_potential_csv(path) -> PotentialField:
                 raise ValidationError(f"unknown geometry {kind!r}")
         except ValueError:
             raise ValidationError(f"malformed CSV header {header!r}") from None
-        data = np.loadtxt(fh, delimiter=",")
+        try:
+            data = np.loadtxt(fh, delimiter=",")
+        except ValueError as exc:
+            raise ValidationError(f"malformed CSV data: {exc}") from None
     return PotentialField(geom, data)

@@ -176,7 +176,7 @@ def extended_chow_height(model, g: SectionGram, bergman_samples,
     mass = geometry.quad(np.asarray(bergman_samples)
                          * np.asarray(density_samples))
     vol = g.m ** model.n * float(model.deg_Ln)
-    if mass <= 0:
+    if not mass > 0:
         raise ValidationError("Bergman density mass must be positive")
     return base + 0.5 * math.log(mass / vol) / model.degree_KQ
 

@@ -230,6 +230,58 @@ def test_malformed_model_field_exits_2(tmp_path, capsys, malform, field):
         assert f"model field {field!r}" in err and "Traceback" not in err
 
 
+def _duplicate_class(obj):
+    obj["classes"].append({"name": "L", "kind": "auxiliary"})
+
+
+def _zero_n(obj):
+    # keys of size n + 1 = 1, so that the form itself is well formed
+    obj["n"] = 0
+    obj["form"] = {"L": obj["form"]["L,L"], "K": obj["form"]["K,K"]}
+
+
+def _zero_degree(obj):
+    obj["degree_KQ"] = 0
+
+
+def _zero_deg_ln(obj):
+    obj["deg_Ln"] = "0"
+
+
+def _negative_deg_ln(obj):
+    obj["deg_Ln"] = "-1/2"
+
+
+def _zero_fiber_multiplicity(obj):
+    obj["fibers"][0]["fiber_multiplicity"] = 0
+
+
+def _long_form_key(obj):
+    obj["form"]["L,L,L"] = obj["form"]["L,L"]
+
+
+@pytest.mark.parametrize("malform, message", [
+    (_duplicate_class, "class names must be unique"),
+    (_zero_n, "n and degree_KQ must be positive"),
+    (_zero_degree, "n and degree_KQ must be positive"),
+    (_zero_deg_ln, "deg_Ln must be > 0"),
+    (_negative_deg_ln, "deg_Ln must be > 0"),
+    (_zero_fiber_multiplicity, "fiber_multiplicity must be >= 1"),
+    (_long_form_key, "has size 3, expected 2"),
+])
+def test_model_breaking_an_invariant_exits_2(tmp_path, capsys, malform,
+                                             message):
+    # well-formed fields whose values the model refuses
+    obj = build_p1_fs().to_json()
+    malform(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(["validate", "--model", str(bad)], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("validation error: ValidationError: ")
+    assert message in err
+
+
 def test_long_integer_literal_in_model_exits_2(tmp_path, capsys):
     # json.load itself refuses an integer of more than 4300 digits
     text = json.dumps(build_p1_fs().to_json())

@@ -68,6 +68,9 @@ def test_blowup_matches_toric_oracle():
     assert orc["delta_L3"] == -20 and orc["delta_L2K"] == 12
     # sign flip at twist 1
     assert blowup_family_oracle(1)["delta_hk"] == 32
+    for twist in (0, -1):
+        with pytest.raises(ValidationError, match="positive integer"):
+            build_p2_blowup_family((2, 3), twist=twist)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
@@ -215,8 +218,16 @@ def test_log_discrepancy_quotient_cone():
 
 
 def test_log_discrepancy_outside_cone():
-    with pytest.raises(OutsideCone):
-        toric_log_discrepancy([(1, 0), (0, 1)], (-1, 2))
+    for discrepancy in (toric_log_discrepancy, barycentric_log_discrepancy):
+        with pytest.raises(OutsideCone):
+            discrepancy([(1, 0), (0, 1)], (-1, 2))
+
+
+def test_cones_must_be_simplicial_and_full():
+    with pytest.raises(ValidationError, match="simplicial of full"):
+        toric_log_discrepancy([(1, 0), (0, 1), (1, 1)], (1, 1))
+    with pytest.raises(ValidationError, match="degenerate cone"):
+        toric.ToricThreefold([(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(0, 1, 2)])
 
 
 # -- Brieskorn-Pham -------------------------------------------------------

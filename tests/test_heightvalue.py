@@ -54,6 +54,67 @@ def test_sub_self_is_zero(a):
     assert d.real_part == 0.0
 
 
+# remainders that include both signed zeros, and values whose zero
+# remainder is marked inexact (a cancelled archimedean term)
+signed_reals = st.one_of(reals, st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def flagged_heights_st(draw):
+    return HeightValue(draw(fracs), draw(log_dicts), draw(signed_reals),
+                       draw(st.booleans()))
+
+
+@given(st.lists(st.tuples(st.one_of(st.just(Fraction(0)), fracs),
+                          flagged_heights_st()), max_size=6))
+def test_combine_is_the_in_order_sum(terms):
+    got = HeightValue._combine(terms)
+    const, logs, real = Fraction(0), {}, 0.0
+    for c, v in terms:
+        if c != 0:
+            const += c * v.const_part
+            for p, lc in v.log_terms.items():
+                logs[p] = logs.get(p, 0) + c * lc
+            real += float(c) * v.real_part
+    assert got.const_part == const
+    assert got.log_terms == {p: c for p, c in sorted(logs.items()) if c}
+    assert got.real_part == real
+    assert math.copysign(1.0, got.real_part) == math.copysign(1.0, real)
+    # a term with c = 0 still counts for real_exact
+    assert got.real_exact == (real == 0.0
+                              and all(v.real_exact for _, v in terms))
+
+
+@given(flagged_heights_st(), flagged_heights_st())
+def test_add_sub_and_neg_keep_their_written_out_results(a, b):
+    # field by field: exact parts with ==, the remainder as the bare
+    # float operation
+    labels = {*a.log_terms, *b.log_terms}
+    for got, const, logs, real in (
+            (a + b, a.const_part + b.const_part,
+             {p: a.log_terms.get(p, 0) + b.log_terms.get(p, 0)
+              for p in labels}, a.real_part + b.real_part),
+            (a - b, a.const_part - b.const_part,
+             {p: a.log_terms.get(p, 0) - b.log_terms.get(p, 0)
+              for p in labels}, a.real_part + -b.real_part)):
+        assert got.const_part == const
+        assert got.log_terms == {p: c for p, c in sorted(logs.items()) if c}
+        assert got.real_part == real
+        # the kernel's float sum starts at +0.0, so a zero result may
+        # lose its sign only where the left remainder is -0.0
+        if math.copysign(1.0, a.real_part) > 0 or a.real_part != 0.0:
+            assert math.copysign(1.0, got.real_part) == \
+                math.copysign(1.0, real)
+        assert got.real_exact == (a.real_exact and b.real_exact
+                                  and real == 0.0)
+    neg = -a
+    assert neg.const_part == -a.const_part
+    assert neg.log_terms == {p: -c for p, c in a.log_terms.items()}
+    assert math.copysign(1.0, neg.real_part) == \
+        -math.copysign(1.0, a.real_part)
+    assert neg.real_exact == a.real_exact
+
+
 @given(heights_st())
 def test_evaluate_is_linear(a):
     want = float(a.const_part) + sum(

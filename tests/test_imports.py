@@ -266,3 +266,15 @@ def test_only_intersection_and_functionals_pair_a_form():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "pair"]
     assert found == []
+
+
+def test_only_heightvalue_reads_a_real_part():
+    # sums of values go through HeightValue._combine, so no other module
+    # reads the float remainder of a value to add it up by hand
+    src = Path(heights.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             if path.name != "heightvalue.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "real_part"]
+    assert found == []

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from brute_force import blowup_primitive_form, blowup_subs, primes_to
 from heights import heightvalue, intersection
-from heights.errors import (IncompleteJointForm, MissingGenericDegree,
-                            NonPrimeLabel, UnknownComponent, UnknownPrime,
+from heights.errors import (IncompleteJointForm, MissingClass,
+                            MissingGenericDegree, NonPrimeLabel, UnknownComponent, UnknownPrime,
                             ValidationError, ZeroCoverDegree)
 from heights.heightvalue import HeightValue, ZERO
 from heights.intersection import (DivisorClassId, FiberComponent, FormalSum,
@@ -65,6 +65,10 @@ def test_pair_slot_is_a_formal_sum_or_what_formal_sum_takes():
     for bad in (DivisorClassId("L", "polarization"), 1, ["L"]):
         with pytest.raises(TypeError, match="class combination"):
             form.pair(bad, "L")
+    for slots in (("L",), ("L", "L", "K")):
+        with pytest.raises(ValidationError,
+                           match=f"expected 2 slots, got {len(slots)}"):
+            form.pair(*slots)
 
 
 def test_replace_form_keeps_every_other_field():
@@ -197,6 +201,16 @@ def test_model_requires_total_form():
                      DivisorClassId("K", "relative-canonical")),
             form=form, L_class="L", K_class="K",
             deg_Ln=Fraction(1), deg_LK=Fraction(-2))
+    # a model file builds its form with arity n + 1, so only a direct
+    # call can pass another
+    m = simple_model()
+    cubic = SymmetricForm(3, {k: ZERO for k in
+                              itertools.combinations_with_replacement(
+                                  "KL", 3)})
+    with pytest.raises(ValidationError, match="arity must equal n\\+1"):
+        m.replace_form({}, form=cubic)
+    with pytest.raises(MissingClass, match="no class named 'E'"):
+        m.class_by_name("E")
 
 
 def test_vertical_class_needs_prime():
@@ -230,6 +244,9 @@ def test_generic_degree_rules():
     m = simple_model()
     assert m.generic_degree(["L"]) == 1
     assert m.generic_degree(["K"]) == -2
+    for names in ([], ["L", "K"]):
+        with pytest.raises(ValidationError, match="size-n monomials"):
+            m.generic_degree(names)
     with pytest.raises(MissingGenericDegree):
         m2 = IntersectionModel(
             n=2, degree_KQ=1,

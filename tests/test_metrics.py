@@ -17,7 +17,7 @@ from heights.energies import (am_energy, apply_metric_change, aubin_i,
                               scalar_curvature_l2)
 from heights.errors import (ArityMismatch, GeometryMismatch, NonKahler,
                             ValidationError)
-from heights.families import build_p1_fs
+from heights.families import build_p1_fs, build_p2_blowup_family
 from heights.functionals import (aubin_I_rel, aubin_J_rel,
                                   decomposition_check, model_beta,
                                   modular_height)
@@ -329,6 +329,14 @@ def test_reference_ricci_is_read_only(g, value):
     assert np.array_equal(g.ric, np.full(g.shape, value))
     with pytest.raises(ValueError):
         g.ric[0, 0] = 1.0
+    # the quadrature weights are read-only views too, constant along psi
+    # on the sphere and everywhere on the torus
+    assert g.weights.shape == g.shape and g.weights.strides[1] == 0
+    assert np.array_equal(g.weights, np.broadcast_to(g.weights[:, :1],
+                                                     g.shape))
+    assert g.quad(np.ones(g.shape)) == pytest.approx(g.V, rel=1e-14)
+    with pytest.raises(ValueError):
+        g.weights[0, 0] = 1.0
 
 
 def held_bytes(g):
@@ -458,6 +466,24 @@ def test_positivity_enforced():
     PotentialField(SPHERE, 0.5 * scale * f)       # fine
     with pytest.raises(NonKahler):
         PotentialField(SPHERE, 3.0 * scale * f)
+    # a NaN density fails the check too
+    ddc = np.zeros(SPHERE.shape)
+    ddc[5, 7] = np.nan
+    with pytest.raises(NonKahler, match="positivity"):
+        PotentialField(SPHERE, np.zeros(SPHERE.shape), _ddc=ddc)
+
+
+def test_potentials_refuse_non_finite_samples():
+    sphere, torus = SphereGeometry(8), TorusGeometry(1j, n=8)
+    for g, bad in ((sphere, np.nan), (torus, np.inf), (sphere, -np.inf)):
+        samples = np.zeros(g.shape)
+        samples[2, 3] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            PotentialField(g, samples)
+    # a constant skips the transform: its ddc is zeros
+    for c in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            PotentialField.constant(sphere, c)
 
 
 def test_round_metric_scalar_curvature():
@@ -465,6 +491,11 @@ def test_round_metric_scalar_curvature():
     S = ricci_density(SPHERE, one) / one
     assert np.max(np.abs(S - 2.0)) < 1e-12
     assert scalar_curvature_l2(SPHERE, one) == pytest.approx(4.0, abs=1e-10)
+    for bad in (np.nan, 0.0, -1.0):
+        dens = np.ones(SPHERE.shape)
+        dens[4, 9] = bad
+        with pytest.raises(ValidationError, match="positive"):
+            scalar_curvature_l2(SPHERE, dens)
 
 
 def test_k_energy_vanishes_on_constants():
@@ -676,6 +707,14 @@ def test_apply_metric_change_geometry_guard():
     phi = PotentialField.constant(t, 0.0)
     with pytest.raises(GeometryMismatch):
         apply_metric_change(model, phi)
+    # a model of no family on a torus of mass 2, and a surface
+    free = model.replace_form({}, family=None)
+    heavy = PotentialField.constant(TorusGeometry(1j, n=8, degree=2), 0.0)
+    with pytest.raises(GeometryMismatch, match="grid mass"):
+        apply_metric_change(free, heavy)
+    surface = build_p2_blowup_family((2,)).model
+    with pytest.raises(GeometryMismatch, match="n = 1"):
+        apply_metric_change(surface, PotentialField.constant(SPHERE, 0.0))
 
 
 def test_metric_pair_decomposition_exact():
@@ -702,6 +741,8 @@ def test_cubic_identity_on_tori():
             t = TorusGeometry(tau, n=32, degree=d)
             lhs, rhs = cubic_identity_check(t)
             assert lhs == pytest.approx(rhs, abs=1e-12)
+    with pytest.raises(ValidationError, match="torus fiber"):
+        cubic_identity_check(SPHERE)
 
 
 def test_potential_csv_roundtrip(tmp_path):
@@ -735,6 +776,24 @@ def test_potential_csv_refuses_malformed_headers(tmp_path):
         p.write_text(header + "\n0\n")
         with pytest.raises(ValidationError, match=re.escape(repr(header))):
             load_potential_csv(p)
+    for header, want in (("sphere,2,4", "must start with a header"),
+                         ("# plane,4", "unknown geometry 'plane'")):
+        p.write_text(header + "\n0\n")
+        with pytest.raises(ValidationError, match=want):
+            load_potential_csv(p)
+
+
+def test_potential_csv_refuses_bad_data_rows(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("# sphere,2,4\n0,0,0,0\n0,x,0,0\n")
+    with pytest.raises(ValidationError, match="could not convert"):
+        load_potential_csv(p)
+    p.write_text("# sphere,2,4\n" + "nan,nan,nan,nan\n" * 2)
+    with pytest.raises(ValidationError, match="finite"):
+        load_potential_csv(p)
+    p.write_text("# sphere,2,4\n0,0,0,0\n")
+    with pytest.raises(ValidationError, match="sample shape"):
+        load_potential_csv(p)
 
 
 def test_geometry_rejects_bad_sizes():

@@ -57,6 +57,13 @@ def test_gram_validation():
         SectionGram(2, ("a",), np.eye(2), "omega")
     with pytest.raises(UnsupportedFamily):
         l2_gram("p9", 3)
+    with pytest.raises(UnsupportedFamily, match="metric 'bergman'"):
+        l2_gram("p1-fs", 3, "bergman")
+    for bad in (np.ones(2), np.ones((2, 3))):
+        with pytest.raises(ValidationError, match="square"):
+            SectionGram(1, ("a", "b"), bad, "omega")
+    with pytest.raises(ValidationError, match="volume convention 'mass'"):
+        SectionGram(1, ("a", "b"), np.eye(2), "mass")
     with pytest.raises(ValidationError):
         p1_deg_hat(0)
     with pytest.raises(NonPositiveDefinite):
@@ -386,6 +393,14 @@ def test_extended_chow_height_scale_invariant():
     berg2 = berg / lam    # H-orthonormal basis scales by 1/sqrt(lam)
     v2 = extended_chow_height(MODEL, g2, berg2, rho, GEOM)
     assert v2 == pytest.approx(base, abs=1e-12)
+
+
+def test_extended_chow_height_refuses_a_nan_bergman_mass():
+    g = l2_gram("p1-fs", 2, "fs", "m-omega")
+    berg, rho = np.ones(GEOM.shape), np.ones(GEOM.shape)
+    berg[3, 5] = np.nan
+    with pytest.raises(ValidationError, match="mass must be positive"):
+        extended_chow_height(MODEL, g, berg, rho, GEOM)
 
 
 def test_dequantization_scan_small():
