@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import HeightsError, NumericError, ValidationError
 from .heightvalue import HeightValue
-from .intersection import IntersectionModel
+from .intersection import IntersectionModel, _read_json
 
 # each subcommand imports what only it runs: functionals (compute),
 # scans (scan), numpy and the spectral modules (balanced), mpmath
@@ -72,7 +72,8 @@ def _height_report(name: str, v) -> dict:
 def _emit(rows, emit: str, stream=None):
     stream = stream or sys.stdout
     if emit == "json":
-        json.dump(rows, stream, indent=1)
+        # default=str: a rational or the complex tau prints as in a table
+        json.dump(rows, stream, indent=1, default=str)
         stream.write("\n")
         return
     cols = list(rows[0].keys())
@@ -176,14 +177,10 @@ def run_balanced(args) -> list:
     g0 = l2_gram(model.family, args.m, "fs", VOL_M_OMEGA)
     geometry = SphereGeometry(args.grid)
     if args.gram:
-        with open(args.gram) as fh:
-            try:
-                entries = json.load(fh)
-            except ValueError as exc:   # also an over-long integer literal
-                raise ValidationError(f"--gram: {exc}") from None
         try:
-            raw = np.array(entries, float)
-        except (TypeError, ValueError):
+            raw = np.array(_read_json(args.gram, "--gram"), float)
+        # OverflowError: an integer literal past the float range
+        except (OverflowError, TypeError, ValueError):
             raise ValidationError(
                 "--gram: expected a square list of numbers") from None
         g0 = SectionGram(g0.m, g0.basis, raw, g0.volume_convention)
@@ -214,12 +211,7 @@ def run_bp(args) -> dict:
 
     weights = _parse_ints("--weights", args.weights)
     spec = BrieskornPhamSpec(weights, args.prime)
-    rep = brieskorn_pham_analyze(spec, j_max=args.degree_bound)
-    out = {k: (str(v) if isinstance(v, Fraction) else v)
-           for k, v in rep.items()}
-    out["log_discrepancies"] = {k: str(v)
-                                for k, v in rep["log_discrepancies"].items()}
-    return out
+    return brieskorn_pham_analyze(spec, j_max=args.degree_bound)
 
 
 def run_faltings(args) -> list:
@@ -244,19 +236,16 @@ def run_faltings(args) -> list:
         if args.polarization is not None:
             row["h_K"] = faltings_to_hk(h, args.polarization)
         rows.append(row)
-    rows.append({"method": "tau", "h_faltings": str(per["tau"]),
+    rows.append({"method": "tau", "h_faltings": per["tau"],
                  **({"h_K": ""} if args.polarization is not None else {})})
     return rows
 
 
 def run_validate(args) -> list:
     model = IntersectionModel.load(args.model)
-    rows = [{
-        "check": "ok", "n": model.n, "classes": len(model.classes),
-        "deg_Ln": str(model.deg_Ln), "deg_LK": str(model.deg_LK),
-        "Sbar": str(model.Sbar()),
-    }]
-    return rows
+    return [{"check": "ok", "n": model.n, "classes": len(model.classes),
+             "deg_Ln": model.deg_Ln, "deg_LK": model.deg_LK,
+             "Sbar": model.Sbar()}]
 
 
 def build_parser() -> argparse.ArgumentParser:

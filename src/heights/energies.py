@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import ArityMismatch, GeometryMismatch, ValidationError
 from .functionals import model_beta
+from .geometry import _positive
 from .intersection import FAMILY_GEOMETRY, ModelPair, SymmetricForm
 from .potentials import PotentialField, ricci_of_log
 
@@ -48,15 +49,13 @@ def aubin_j(phi: PotentialField) -> float:
 
 
 def bott_chern_delta(phi: PotentialField, curvature_forms) -> float:
-    """Quadrature of phi against a wedge of n supplied densities."""
+    """Quadrature of phi against a wedge of n supplied densities (n = 1:
+    the one density)."""
     n = 1
     if len(curvature_forms) != n:
         raise ArityMismatch(f"expected {n} curvature densities, "
                             f"got {len(curvature_forms)}")
-    prod = np.ones(phi.geometry.shape)
-    for f in curvature_forms:
-        prod = prod * f
-    return phi.geometry.quad(phi.samples * prod)
+    return phi.geometry.quad(phi.samples * curvature_forms[0])
 
 
 def ricci_density(geometry, omega_density) -> np.ndarray:
@@ -67,7 +66,7 @@ def ricci_density(geometry, omega_density) -> np.ndarray:
 def scalar_curvature_l2(geometry, omega_density) -> float:
     """(1/n^2) * int S(omega_h)^2 omega_h^n."""
     omega_density = np.asarray(omega_density, float)
-    if not np.all(omega_density > 0):
+    if not _positive(omega_density):
         raise ValidationError("metric density must be positive")
     S = ricci_density(geometry, omega_density) / omega_density
     return geometry.quad(S * S * omega_density)

@@ -22,9 +22,9 @@ from .intersection import (DivisorClassId, FiberComponent,
                            IntersectionModel, ModelPair, SymmetricForm,
                            KIND_CANONICAL, KIND_POLARIZATION, KIND_VERTICAL)
 
-# toric is imported inside its two callers (the validate branch of
-# build_p2_blowup_family, brieskorn_pham_analyze), so that the CLI calls
-# that run neither do not compile it
+# toric is imported inside its one caller, the validate branch of
+# build_p2_blowup_family, so that the CLI calls that skip it do not
+# compile it
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -269,8 +269,6 @@ def brieskorn_pham_analyze(spec: BrieskornPhamSpec, j_max: int = 12) -> dict:
     """Local model at the bad prime: the cyclic quotient chart
     1/a_n(a_0..a_{n-1}), its Hilbert-Samuel multiplicity and the log
     discrepancies of the quadrant rays and barycenter valuation."""
-    from .toric import toric_log_discrepancy
-
     if j_max < 1:
         raise ValidationError(f"degree bound j_max must be >= 1, got {j_max}")
     w = spec.weights
@@ -282,13 +280,11 @@ def brieskorn_pham_analyze(spec: BrieskornPhamSpec, j_max: int = 12) -> dict:
     mult, stable = multiplicity_from_lengths(lens, n)
     threshold = Fraction(math.factorial(n + 1))
 
-    rays = [tuple(Fraction(int(i == j)) for j in range(n))
-            for i in range(n)]
+    # the chart's cone is the orthant, whose rays are the unit vectors:
+    # a valuation v inside it has log discrepancy sum(v) - 1 (see
+    # toric.toric_log_discrepancy for a general simplicial cone)
     q = tuple(Fraction(a, r) for a in residues)
-    samples = {"barycenter": tuple(sum(c) for c in zip(*rays, q)),
-               "quotient": q}
-    discrepancies = {k: toric_log_discrepancy(rays, v)
-                     for k, v in samples.items()}
+    discrepancies = {"barycenter": sum(q) + n - 1, "quotient": sum(q) - 1}
     min_disc = min(discrepancies.values())
     return {
         "chart": f"1/{r}({','.join(str(a) for a in residues)})",

@@ -34,6 +34,14 @@ _CHUNK = 16
 _MEMOS = weakref.WeakValueDictionary()
 
 
+def _positive(x, bound: float = 0.0) -> bool:
+    """Whether every value of x is finite and above bound: the one
+    positivity test of sampled densities and masses.  NaN fails it (np.min
+    and np.max propagate NaN), and so do +inf and -inf."""
+    return bool(np.min(x, initial=np.inf) > bound
+                and np.max(x, initial=-np.inf) < np.inf)
+
+
 class _Memo(list):
     """A grid's Legendre chunks [(m0, [(k0, even, odd), ...]), ...] at cap
     lmax, as _legendre_blocks yields them, each block a copy; key is its
@@ -306,8 +314,9 @@ class TorusGeometry:
 
     def __init__(self, tau: complex, n: int = 64, degree: int = 1):
         tau = complex(tau)
-        if tau.imag <= 0:
-            raise ValidationError("tau must lie in the upper half plane")
+        if not (tau.imag > 0 and np.isfinite(tau)):
+            raise ValidationError(
+                "tau must be finite and lie in the upper half plane")
         self.tau = tau
         self.n = int(n)
         self.degree = int(degree)

@@ -249,10 +249,13 @@ class HeightValue(FrozenValue):
         if not isinstance(real_exact, bool):
             raise TypeError(f"real_exact must be true or false, "
                             f"got {real_exact!r}")
-        return HeightValue(
-            json_rational(obj.get("const", 0)),
-            {int(k): json_rational(v) for k, v in obj.get("logs", {}).items()},
-            real, real_exact)
+        logs = {}
+        for k, v in obj.get("logs", {}).items():
+            if int(k) in logs:      # "2" and "02" are one label
+                raise ValueError(f"log label {int(k)} is given twice")
+            logs[int(k)] = json_rational(v)
+        return HeightValue(json_rational(obj.get("const", 0)), logs, real,
+                           real_exact)
 
 
 ZERO = HeightValue()

@@ -51,6 +51,8 @@ class DivisorClassId(FrozenValue):
                  prime: int | None = None, component_id: str | None = None):
         if kind not in _KINDS:
             raise ValidationError(f"unknown class kind {kind!r}")
+        if "," in name:     # a model file joins the names of a key with ','
+            raise ValidationError(f"class name {name!r} holds a ','")
         if kind == KIND_VERTICAL:
             if prime is None or not is_prime(prime):
                 raise NonPrimeLabel(
@@ -112,12 +114,25 @@ def form_key(names: Iterable[str]) -> tuple:
     return tuple(sorted(names))
 
 
+def _by_monomial(entries: Mapping, what: str, convert) -> dict:
+    """convert(value) per form_key of the keys of entries; two keys that
+    name one monomial (one multiset of class names) are refused."""
+    out = {}
+    for k, v in entries.items():
+        key = form_key(k)
+        if key in out:
+            raise ValidationError(
+                f"{what} names the monomial {','.join(key)} twice")
+        out[key] = convert(v)
+    return out
+
+
 class SymmetricForm:
     """Total symmetric (n+1)-linear form: multiset of class names -> HeightValue."""
 
     def __init__(self, arity: int, entries: Mapping[tuple, HeightValue]):
         self.arity = arity
-        self.entries = {form_key(k): as_height(v) for k, v in entries.items()}
+        self.entries = _by_monomial(entries, "form", as_height)
         for k in self.entries:
             if len(k) != arity:
                 raise ValidationError(
@@ -202,8 +217,7 @@ class IntersectionModel(FrozenValue):
         if len({(f.prime, f.component_id) for f in fibers}) < len(fibers):
             raise ValidationError(
                 "fiber component ids must be unique per prime")
-        gd = {form_key(k): Fraction(v)
-              for k, v in dict(generic_degrees or {}).items()}
+        gd = _by_monomial(generic_degrees or {}, "generic_degrees", Fraction)
         if family is not None:
             _check_family(family)
         self.__dict__.update(
@@ -283,10 +297,10 @@ class IntersectionModel(FrozenValue):
         """This model with new_entries written over its form entries; the
         other fields are kept unless overrides name them."""
         fields = dict(zip(self._fields, self._values()))
-        # a key given out of order still wins: SymmetricForm sorts each
-        # key, and a later duplicate overwrites an earlier one
-        fields["form"] = SymmetricForm(
-            self.n + 1, {**self.form.entries, **new_entries})
+        # sorted first, so that a key given out of order replaces its entry
+        fields["form"] = SymmetricForm(self.n + 1, {
+            **self.form.entries,
+            **_by_monomial(new_entries, "new_entries", as_height)})
         return IntersectionModel(**{**fields, **overrides})
 
     # -- serialization ------------------------------------------------
@@ -365,14 +379,32 @@ class IntersectionModel(FrozenValue):
 
     @staticmethod
     def load(path) -> "IntersectionModel":
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except ValueError as exc:   # also an over-long integer literal
-                raise ValidationError(
-                    f"model file {str(path)!r} is not readable JSON: "
-                    f"{exc}") from None
-        return IntersectionModel.from_json(obj)
+        return IntersectionModel.from_json(_read_json(
+            path, f"model file {str(path)!r} is not readable JSON"))
+
+
+def _read_json(path, what: str):
+    """The value a JSON input file holds: a model file or a starting Gram.
+    Malformed JSON, an over-long integer literal among it, and a key
+    repeated in one object raise ValidationError(f"{what}: ...")."""
+    with open(path) as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:
+            raise ValidationError(f"{what}: {exc}") from None
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a repeated key raises ValueError,
+    where json would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for k, _ in pairs:
+            if k in seen:
+                raise ValueError(f"key {k!r} is repeated")
+            seen.add(k)
+    return obj
 
 
 def _json_int(v) -> int:
@@ -412,13 +444,10 @@ class ModelPair(FrozenValue):
     _fields = ("model", "ref", "joint_form", "ref_map")
 
     def __init__(self, model: IntersectionModel, ref: IntersectionModel,
-                 joint_form: SymmetricForm,
-                 ref_map: Mapping[str, str] | None = None):
+                 joint_form: SymmetricForm, ref_map: Mapping[str, str]):
         if not model.same_generic_fiber(ref):
             raise GenericFiberMismatch(
                 "pair constituents must share the generic fiber data")
-        if ref_map is None:
-            ref_map = {c.name: c.name for c in ref.classes}
         for m, mp in ((model, None), (ref, ref_map)):
             for key, val in m.form.entries.items():
                 jkey = key if mp is None else form_key(mp[nm] for nm in key)

@@ -7,7 +7,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonKahler, ValidationError
-from .geometry import SphereGeometry, TorusGeometry, make_geometry
+from .geometry import SphereGeometry, TorusGeometry, _positive, make_geometry
 
 POSITIVITY_MARGIN = 1e-10
 
@@ -34,12 +34,16 @@ class PotentialField:
                 f"sample shape {samples.shape} != grid {geometry.shape}")
         if not np.all(np.isfinite(samples)):
             raise ValidationError("potential samples must be finite")
+        if _ddc is None:
+            # a transform past the float range (samples near 1e308) leaves
+            # inf or NaN, which the positivity test below refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                _ddc = geometry.ddc(samples)
         self.geometry = geometry
         self.samples = samples
-        self.ddc = geometry.ddc(samples) if _ddc is None else _ddc
+        self.ddc = _ddc
         self.omega_phi = 1.0 + self.ddc
-        # written so that a NaN density fails it too
-        if not np.all(self.omega_phi > POSITIVITY_MARGIN):
+        if not _positive(self.omega_phi, POSITIVITY_MARGIN):
             raise NonKahler(
                 "omega_phi loses positivity (min density "
                 f"{np.min(self.omega_phi):.3e})")
@@ -157,8 +161,13 @@ def load_potential_csv(path) -> PotentialField:
                 raise ValidationError(f"unknown geometry {kind!r}")
         except ValueError:
             raise ValidationError(f"malformed CSV header {header!r}") from None
-        try:
-            data = np.loadtxt(fh, delimiter=",")
-        except ValueError as exc:
-            raise ValidationError(f"malformed CSV data: {exc}") from None
+        rows = fh.readlines()
+    # loadtxt skips blank lines and '#' comments; with no row left it
+    # would warn and return an empty array
+    if not any(row.partition("#")[0].strip() for row in rows):
+        raise ValidationError("potential CSV has no data rows")
+    try:
+        data = np.loadtxt(rows, delimiter=",")
+    except ValueError as exc:
+        raise ValidationError(f"malformed CSV data: {exc}") from None
     return PotentialField(geom, data)

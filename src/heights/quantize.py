@@ -16,7 +16,7 @@ import numpy as np
 from ._frozen import FrozenValue
 from .errors import (ConventionMismatch, NonPositiveDefinite,
                      NumericError, UnsupportedFamily, ValidationError)
-from .geometry import SphereGeometry
+from .geometry import SphereGeometry, _positive
 from .intersection import _check_family
 # the two scans are not used here: the benchmark's tracer and its tests
 # look them up under this module
@@ -176,7 +176,7 @@ def extended_chow_height(model, g: SectionGram, bergman_samples,
     mass = geometry.quad(np.asarray(bergman_samples)
                          * np.asarray(density_samples))
     vol = g.m ** model.n * float(model.deg_Ln)
-    if not mass > 0:
+    if not _positive(mass):
         raise ValidationError("Bergman density mass must be positive")
     return base + 0.5 * math.log(mass / vol) / model.degree_KQ
 
@@ -213,10 +213,11 @@ def _fs_density(jet: np.ndarray, H: np.ndarray, n_psi: int):
     except np.linalg.LinAlgError as exc:
         raise NonPositiveDefinite("gram is numerically singular") from exc
     mod, dmod = jet
-    coef = _lag_sums(cinv.T @ cinv, np.stack([mod, dmod, dmod]),
-                     np.stack([mod, dmod, mod]), n_psi)
-    # overflow and NaN are caught by the positivity checks below
+    # overflow and NaN are caught by the positivity checks below: H^{-1}
+    # itself overflows for a Gram entry of 1e-320
     with np.errstate(all="ignore"):
+        coef = _lag_sums(cinv.T @ cinv, np.stack([mod, dmod, dmod]),
+                         np.stack([mod, dmod, mod]), n_psi)
         # <Dv, v> is e^{-i psi} times the transform of its lag sums; the
         # factor drops out of |<Dv, v>|
         cross2 = np.abs(np.fft.ifft(coef[2], norm="forward")) ** 2
@@ -225,10 +226,10 @@ def _fs_density(jet: np.ndarray, H: np.ndarray, n_psi: int):
         phi, dv2 = np.fft.irfft(coef[:2, :, :n_psi // 2 + 1], n=n_psi,
                                 norm="forward")
         rho = (phi * dv2 - cross2) / phi ** 2
-    # phi is no longer a sum of squares; NaN fails both tests
-    if not np.all(phi > 0):
+    # phi is no longer a sum of squares
+    if not _positive(phi):
         raise NonPositiveDefinite("Bergman density lost positivity")
-    if not np.all(rho > 0):
+    if not _positive(rho):
         raise NonPositiveDefinite("FS(H) curvature density lost positivity")
     return phi, rho
 

@@ -260,7 +260,31 @@ def _long_form_key(obj):
     obj["form"]["L,L,L"] = obj["form"]["L,L"]
 
 
+def _monomial_named_twice_last(obj):
+    # "L,K" and "K,L" name one monomial: were the later key to win, h_K
+    # would be 11 with this key last and 0.838 with it first
+    obj["form"]["L,K"] = {"const": "5"}
+
+
+def _monomial_named_twice_first(obj):
+    obj["form"] = {"L,K": {"const": "5"}, **obj["form"]}
+
+
+def _log_label_named_twice(obj):
+    # "2" and "02" are one label (1*log 2, were the later one to win)
+    obj["form"]["L,L"]["logs"] = {"2": "1", "02": "1"}
+
+
+def _repeated_json_key(obj):
+    # json itself keeps the last of two equal keys, here n = 1
+    return json.dumps(obj).replace('"n": 1', '"n": 2, "n": 1', 1)
+
+
 @pytest.mark.parametrize("malform, message", [
+    (_monomial_named_twice_last, "form names the monomial K,L twice"),
+    (_monomial_named_twice_first, "form names the monomial K,L twice"),
+    (_log_label_named_twice, "log label 2 is given twice"),
+    (_repeated_json_key, "not readable JSON: key 'n' is repeated"),
     (_duplicate_class, "class names must be unique"),
     (_zero_n, "n and degree_KQ must be positive"),
     (_zero_degree, "n and degree_KQ must be positive"),
@@ -273,9 +297,9 @@ def test_model_breaking_an_invariant_exits_2(tmp_path, capsys, malform,
                                              message):
     # well-formed fields whose values the model refuses
     obj = build_p1_fs().to_json()
-    malform(obj)
+    text = malform(obj)     # the file's text, where it is not the object's
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
+    bad.write_text(text or json.dumps(obj))
     code, out, err = run(["validate", "--model", str(bad)], capsys)
     assert code == 2 and out == "" and "Traceback" not in err
     assert err.startswith("validation error: ValidationError: ")
@@ -735,7 +759,7 @@ def test_singular_gram_exits_3(capsys):
 
 
 @pytest.mark.parametrize("entries", [
-    [[1, "a"], [0, 1]], [[1, 2], [3]], {"a": 1}])
+    [[1, "a"], [0, 1]], [[1, 2], [3]], {"a": 1}, [[10 ** 400, 0], [0, 1]]])
 def test_malformed_gram_file_exits_2(tmp_path, capsys, entries):
     gram = tmp_path / "g.json"
     gram.write_text(json.dumps(entries))
@@ -893,6 +917,61 @@ def test_mutated_model_file_exits_0_2_or_3(tmp_path_factory, case, value):
                  ["scan", "--m-max", "6", "--kind", "hilbert-samuel"],
                  ["balanced", "--m", "1", "--grid", "8", "--max-iter", "2"]):
         assert _exit_code(argv + ["--model", str(model)]) in (0, 2, 3), argv
+
+
+# Gram entries at and past the float range's edges; JSON writes NaN and
+# +-inf as NaN, Infinity and -Infinity, which json reads back
+GRAM_ODD = [math.nan, math.inf, -math.inf, 1e-320, 1e308, -1e308, 0.0,
+            -1.0]
+GRAM_MS = [1, 2, 3, quantize.MAX_GRAM_M - 1, quantize.MAX_GRAM_M,
+           quantize.MAX_GRAM_M + 1]
+
+
+@st.composite
+def gram_files(draw):
+    """(m, text of a --gram file): a symmetric positive Gram of at most
+    four rows, sized m + 1 or one off, with one mutation."""
+    m = draw(st.sampled_from(GRAM_MS))
+    size = min(m, 3) + 1 + draw(st.sampled_from([0, 0, -1, 1]))
+    gram = [[1.0 if i == j else 0.02 for j in range(size)]
+            for i in range(size)]
+    kind = draw(st.sampled_from(["entry", "pair", "ragged", "row", "whole",
+                                 "cut"]))
+    i, j = (draw(st.integers(0, size - 1)) for _ in range(2))
+    if kind in ("entry", "pair"):
+        gram[i][j] = draw(st.sampled_from(GRAM_ODD))
+        if kind == "pair":
+            gram[j][i] = gram[i][j]
+    elif kind == "ragged":
+        del gram[i][-1]
+    elif kind == "row":
+        gram[i] = draw(st.sampled_from(ODD_JSON))
+    elif kind == "whole":
+        gram = draw(st.sampled_from(ODD_JSON))
+    text = json.dumps(gram)
+    if kind == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return m, text
+
+
+@given(case=gram_files())
+@example(case=(1, "[[1e-320, 0.0], [0.0, 1.0]]"))
+@example(case=(1, "[[1e308, 0.0], [0.0, 1e308]]"))
+@example(case=(quantize.MAX_GRAM_M, "[[1.0, 0.0], [0.0, 1.0]]"))
+@example(case=(quantize.MAX_GRAM_M + 1, "[[1.0, 0.0], [0.0, 1.0]]"))
+@example(case=(1, "[[1" + "0" * 400 + ", 0], [0, 1]]"))
+@settings(max_examples=120, deadline=None)
+def test_mutated_gram_file_exits_0_2_or_3(tmp_path_factory, case):
+    # every file balanced --gram reads is iterated or refused, with no
+    # warning and no exception escaping main
+    m, text = case
+    gram = tmp_path_factory.getbasetemp() / "mutated_gram.json"
+    gram.write_text(text)
+    argv = ["balanced", "--family", "p1-fs", "--m", str(m), "--gram",
+            str(gram), "--grid", "8", "--max-iter", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _exit_code(argv) in (0, 2, 3), (argv, text)
 
 
 NUMERIC_ARGVS = [

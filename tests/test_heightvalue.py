@@ -145,6 +145,14 @@ def test_composite_label_rejected():
         HeightValue.from_json({"const": "0", "logs": {"9": "1"}})
 
 
+@pytest.mark.parametrize("logs", [{"2": "1", "02": "1"},
+                                  {"3": "1", " 3": "-1"}, {"5": "1", "+5": "2"}])
+def test_from_json_takes_each_log_label_once(logs):
+    # labels are read as integers, so "2" and "02" are one label
+    with pytest.raises(ValueError, match="is given twice"):
+        HeightValue.from_json({"const": "0", "logs": logs})
+
+
 @pytest.mark.parametrize("real", [math.nan, math.inf, -math.inf])
 def test_from_json_rejects_non_finite_real(real):
     with pytest.raises(ValueError, match="finite"):

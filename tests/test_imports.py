@@ -278,3 +278,19 @@ def test_only_heightvalue_reads_a_real_part():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "real_part"]
     assert found == []
+
+
+def test_one_positivity_test_for_sampled_densities():
+    # a sampled density or mass is positive by geometry._positive, which
+    # also refuses +-inf: no np.all(<comparison>) or (<comparison>).all()
+    # decides it in the modules that sample them
+    src = Path(heights.__file__).resolve().parent
+    found = [f"{name}:{node.lineno}"
+             for name in ("potentials.py", "energies.py", "quantize.py")
+             for node in ast.walk(ast.parse((src / name).read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "all"
+             and (isinstance(node.func.value, ast.Compare)
+                  or any(isinstance(a, ast.Compare) for a in node.args))]
+    assert found == []

@@ -270,6 +270,49 @@ def test_serialization_roundtrip(tmp_path):
     assert m2.deg_Ln == m.deg_Ln and m2.deg_LK == m.deg_LK
 
 
+def test_a_monomial_is_named_once():
+    # ("L", "K") and ("K", "L") name one monomial: a form, the new entries
+    # of replace_form and a model's generic degrees each take it once
+    twice = {("L", "K"): ZERO, ("K", "L"): HeightValue(5)}
+    with pytest.raises(ValidationError,
+                       match="form names the monomial K,L twice"):
+        SymmetricForm(2, twice)
+    m = simple_model()
+    with pytest.raises(ValidationError, match="names the monomial K,L twice"):
+        m.replace_form(twice)
+    # one key out of order still replaces its sorted entry
+    assert m.replace_form({("L", "K"): HeightValue(7)}).form.value(
+        ("K", "L")).exact_eq(HeightValue(7))
+    blown = build_p2_blowup_family((2,)).model
+    fields = dict(zip(blown._fields, blown._values()))
+    with pytest.raises(ValidationError, match="generic_degrees names the "
+                                              "monomial K,L twice"):
+        IntersectionModel(**{**fields, "generic_degrees": {
+            ("K", "L"): Fraction(1), ("L", "K"): Fraction(2)}})
+
+
+def test_a_class_name_holds_no_comma(tmp_path):
+    # a model file joins the class names of a form key with ',': such a
+    # name would save to a file that load refuses
+    with pytest.raises(ValidationError, match="holds a ','"):
+        DivisorClassId("x,y")
+    # any other name survives save and load
+    names = ("L", "K", "E (exc); 2")
+    form = SymmetricForm(2, {
+        k: HeightValue(i, {2: i}) for i, k in
+        enumerate(itertools.combinations_with_replacement(names, 2))})
+    m = IntersectionModel(
+        n=1, degree_KQ=1,
+        classes=(DivisorClassId("L", "polarization"),
+                 DivisorClassId("K", "relative-canonical"),
+                 DivisorClassId(names[2])),
+        form=form, L_class="L", K_class="K", deg_Ln=1, deg_LK=-2,
+        generic_degrees={(names[2],): Fraction(3)})
+    p = tmp_path / "m.json"
+    m.save(p)
+    assert IntersectionModel.load(p) == m
+
+
 def test_bad_model_json_rejects_composite_prime(tmp_path):
     m = simple_model()
     obj = m.to_json()
@@ -504,13 +547,18 @@ def test_model_pair_rejects_mismatched_joint_form():
                   ref_map={"L": "Lr", "K": "Kr"})
 
 
+# the identity renaming: a pair of a model with itself on its own form
+SAME = {"L": "L", "K": "K"}
+
+
 def test_model_pair_rejects_joint_form_missing_a_monomial():
     m = simple_model()
     entries = dict(m.form.entries)
     del entries[("K", "L")]
     with pytest.raises(IncompleteJointForm,
                        match=r"misses embedded monomial \('K', 'L'\)"):
-        ModelPair(model=m, ref=m, joint_form=SymmetricForm(2, entries))
+        ModelPair(model=m, ref=m, joint_form=SymmetricForm(2, entries),
+                  ref_map=SAME)
 
 
 @pytest.mark.parametrize("off, ok", [(5e-10, True), (2e-9, False)])
@@ -520,10 +568,10 @@ def test_model_pair_tolerates_real_drift_up_to_1e_9(off, ok):
     entries[("L", "L")] = entries[("L", "L")].shift_real(off)
     joint = SymmetricForm(2, entries)
     if ok:
-        ModelPair(model=m, ref=m, joint_form=joint)
+        ModelPair(model=m, ref=m, joint_form=joint, ref_map=SAME)
     else:
         with pytest.raises(ValidationError, match="disagrees"):
-            ModelPair(model=m, ref=m, joint_form=joint)
+            ModelPair(model=m, ref=m, joint_form=joint, ref_map=SAME)
 
 
 def test_relative_height_needs_same_generic_fiber():

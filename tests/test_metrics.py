@@ -4,10 +4,12 @@ import hashlib
 import math
 import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from heights.energies import (am_energy, apply_metric_change, aubin_i,
@@ -15,8 +17,8 @@ from heights.energies import (am_energy, apply_metric_change, aubin_i,
                               cubic_identity_check, entropy, k_energy,
                               metric_model_pair, ricci_density,
                               scalar_curvature_l2)
-from heights.errors import (ArityMismatch, GeometryMismatch, NonKahler,
-                            ValidationError)
+from heights.errors import (ArityMismatch, GeometryMismatch, HeightsError,
+                            NonKahler, ValidationError)
 from heights.families import build_p1_fs, build_p2_blowup_family
 from heights.functionals import (aubin_I_rel, aubin_J_rel,
                                   decomposition_check, model_beta,
@@ -471,6 +473,33 @@ def test_positivity_enforced():
     ddc[5, 7] = np.nan
     with pytest.raises(NonKahler, match="positivity"):
         PotentialField(SPHERE, np.zeros(SPHERE.shape), _ddc=ddc)
+    # and so does an infinite one
+    ddc[5, 7] = np.inf
+    with pytest.raises(NonKahler, match="positivity"):
+        PotentialField(SPHERE, np.zeros(SPHERE.shape), _ddc=ddc)
+
+
+def test_positive_needs_every_value_finite_and_above_the_bound():
+    from heights.geometry import _positive
+    assert _positive(np.ones((2, 3))) and _positive(2.0)
+    assert _positive(np.zeros(0))           # no value breaks the rule
+    assert _positive(np.full(4, 2e-10), 1e-10)
+    assert not _positive(np.full(4, 1e-10), 1e-10)
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        x = np.ones((3, 4))
+        x[1, 2] = bad
+        assert not _positive(x) and not _positive(bad)
+
+
+def test_scalar_curvature_refuses_an_inf_density():
+    # one inf sample on a grid-8 sphere: the Laplacian would turn it
+    # into NaN with a RuntimeWarning, and the L2 norm into nan
+    g = SphereGeometry(8)
+    dens = np.ones(g.shape)
+    dens[3, 5] = np.inf
+    with pytest.raises(ValidationError, match="metric density must be "
+                                              "positive"):
+        scalar_curvature_l2(g, dens)
 
 
 def test_potentials_refuse_non_finite_samples():
@@ -794,6 +823,66 @@ def test_potential_csv_refuses_bad_data_rows(tmp_path):
     p.write_text("# sphere,2,4\n0,0,0,0\n")
     with pytest.raises(ValidationError, match="sample shape"):
         load_potential_csv(p)
+    # a header alone: numpy's loadtxt would warn "input contained no
+    # data" before the refusal
+    for text in ("# sphere,2,4\n", "# sphere,2,4", "# torus,2,1,0,1\n\n# c\n"):
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="no data rows"):
+                load_potential_csv(p)
+
+
+# a cell past, at or beside the float range's edges, or no number at all
+CSV_ODD = ["nan", "inf", "-inf", "1e-320", "1e308", "-1e308", "0.1", "x", ""]
+# a header field: over MAX_GRID (the limit itself builds for seconds),
+# not positive, not an integer or not finite
+HEADER_ODD = [str(MAX_GRID + 1), str(2 * MAX_GRID + 1), "0", "-1", "1e3", "x",
+              "", "nan", "inf", "-inf"]
+
+
+@st.composite
+def potential_csvs(draw):
+    """The text of a potential CSV on a grid of at most 4 x 8 nodes, with
+    mutations of its header and its data rows."""
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 8))
+        header = ["sphere", str(rows), str(cols)]
+    else:
+        rows = cols = draw(st.integers(1, 4))
+        header = ["torus", str(rows), "1", "0.5", "1.5"]
+    for _ in range(draw(st.integers(0, 2))):
+        header[draw(st.integers(1, len(header) - 1))] = draw(
+            st.sampled_from(HEADER_ODD))
+    data = [["0"] * cols for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.integers(0, rows - 1))][draw(
+            st.integers(0, cols - 1))] = draw(st.sampled_from(CSV_ODD))
+    if draw(st.booleans()):
+        data[draw(st.integers(0, rows - 1))].pop()          # ragged
+    data = data[:draw(st.sampled_from([rows, rows, 0, rows - 1]))]
+    return "\n".join(["# " + ",".join(header)]
+                     + [",".join(r) for r in data]) + "\n"
+
+
+@given(text=potential_csvs())
+@example(text="# sphere,2,4\n")
+@example(text=f"# sphere,{MAX_GRID + 1},4\n0\n")
+@example(text="# sphere,2,4\n1e308,0,0,0\n0,0,0,0\n")
+@example(text="# torus,2,1,inf,1.0\n0,0\n0,0\n")
+@example(text="# torus,2,1,0.5,nan\n0,0\n0,0\n")
+@settings(max_examples=150, deadline=None)
+def test_mutated_potential_csv_raises_only_heights_errors(tmp_path_factory,
+                                                           text):
+    # a CSV loads or is refused by name, with no warning on the way
+    p = tmp_path_factory.getbasetemp() / "mutated.csv"
+    p.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            load_potential_csv(p)
+        except HeightsError:
+            pass
 
 
 def test_geometry_rejects_bad_sizes():
@@ -831,6 +920,10 @@ def test_make_geometry_rejects_unknown():
         make_geometry("plane")
     with pytest.raises(ValidationError):
         TorusGeometry(-1j)
+    for tau in (complex(math.inf, 1), complex(0, math.inf),
+                complex(0, math.nan), complex(math.nan, 1)):
+        with pytest.raises(ValidationError, match="finite"):
+            TorusGeometry(tau, n=4)
 
 
 def test_potential_addition_shares_grid():

@@ -403,6 +403,16 @@ def test_extended_chow_height_refuses_a_nan_bergman_mass():
         extended_chow_height(MODEL, g, berg, rho, GEOM)
 
 
+def test_extended_chow_height_refuses_an_inf_bergman_sample():
+    # the mass is then inf, and log(inf) made the height inf
+    g = l2_gram("p1-fs", 2, "fs", "m-omega")
+    geom = SphereGeometry(8)
+    berg, rho = np.ones(geom.shape), np.ones(geom.shape)
+    berg[3, 5] = np.inf
+    with pytest.raises(ValidationError, match="mass must be positive"):
+        extended_chow_height(MODEL, g, berg, rho, geom)
+
+
 def test_dequantization_scan_small():
     res = dequantization_scan(MODEL, 40)
     assert len(res.table) == 40

@@ -41,7 +41,8 @@ CASES = [
     (ModelPair, (PAIR.model, PAIR.ref, PAIR.joint_form, PAIR.ref_map),
      dict(model=PAIR.model, ref=PAIR.ref, joint_form=PAIR.joint_form,
           ref_map=dict(PAIR.ref_map)),
-     (PAIR.model, PAIR.model, PAIR.joint_form)),
+     (PAIR.model, PAIR.model, PAIR.joint_form,
+      {c.name: c.name for c in PAIR.model.classes})),
     (BrieskornPhamSpec, ([8, 15, 7], 11), dict(weights=(8, 15, 7), prime=11),
      ((8, 15, 7), 13)),
     (EllipticCurveData, ([0, 0, 1, -1, 0], 37),
@@ -182,5 +183,6 @@ def test_defaults_are_fresh_and_normalized():
     model = IntersectionModel(**MODEL_KW)
     assert model.generic_degrees == {} and model.fibers == P1.fibers
     assert model.deg_Ln == Fraction(1) and isinstance(model.deg_LK, Fraction)
-    pair = ModelPair(P1, P1, P1.form)
-    assert pair.ref_map == {"L": "L", "K": "K"}
+    # a pair names its renaming: there is no identity default
+    with pytest.raises(TypeError):
+        ModelPair(P1, P1, P1.form)
