@@ -4,7 +4,7 @@ A subclass names its fields in ``_fields`` and stores them in
 ``__init__`` through ``self.__dict__``.  Instances compare and hash by
 those fields and print as ``Name(field=value, ...)``; assignment and
 deletion raise AttributeError.  Pickling and copying restore
-``__dict__`` directly.
+``__dict__`` directly, unless a subclass defines ``__reduce__``.
 """
 
 

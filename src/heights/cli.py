@@ -62,10 +62,9 @@ def _load_family(args):
 
 def _height_report(name: str, v) -> dict:
     if isinstance(v, HeightValue):
-        return {"functional": name, "symbolic": str(v),
-                "value": v.evaluate()}
+        return {"functional": name, "symbolic": v, "value": v.evaluate()}
     if isinstance(v, Fraction):
-        return {"functional": name, "symbolic": str(v), "value": float(v)}
+        return {"functional": name, "symbolic": v, "value": float(v)}
     return {"functional": name, "symbolic": "", "value": v}
 
 

@@ -14,8 +14,9 @@ import math
 import numpy as np
 
 from ._frozen import FrozenValue
-from .errors import (ConventionMismatch, NonPositiveDefinite,
-                     NumericError, UnsupportedFamily, ValidationError)
+from .errors import (ConventionMismatch, GeometryMismatch,
+                     NonPositiveDefinite, NumericError, UnsupportedFamily,
+                     ValidationError, _int_text)
 from .geometry import SphereGeometry, _positive
 from .intersection import _check_family
 # the two scans are not used here: the benchmark's tracer and its tests
@@ -34,7 +35,7 @@ class SectionGram(FrozenValue):
 
     def __init__(self, m: int, basis: tuple, gram: np.ndarray,
                  volume_convention: str):
-        g = np.asarray(gram, float)
+        g = np.array(gram, float)     # a copy: the caller's array may change
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValidationError("gram must be square")
         if len(basis) != g.shape[0]:
@@ -46,8 +47,26 @@ class SectionGram(FrozenValue):
         if volume_convention not in (VOL_OMEGA, VOL_M_OMEGA):
             raise ValidationError(
                 f"unknown volume convention {volume_convention!r}")
+        g.flags.writeable = False
+        if m < 1 or g.shape[0] != m + 1:
+            raise ValidationError(
+                f"gram rank must be m + 1 with m >= 1, got rank "
+                f"{g.shape[0]} at m = {_int_text(m)}")
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            raise NonPositiveDefinite(
+                "gram is not positive definite") from None
+        # LU pivots, which arithmetic_degree reads, can round to 0 or less
+        sign, logdet = np.linalg.slogdet(g)
+        if sign <= 0 or not np.isfinite(logdet):
+            raise NonPositiveDefinite("gram is numerically singular")
         self.__dict__.update(m=m, basis=basis, gram=g,
                              volume_convention=volume_convention)
+
+    def __reduce__(self):
+        # copies are built anew: their gram is checked and read-only too
+        return type(self), self._values()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -102,6 +121,10 @@ def _section_jet(geometry: SphereGeometry, m: int) -> np.ndarray:
     chart |z| = tan(theta/2), and of their Chern derivatives.
     Dw_a = a(1+|z|^2) w_{a-1} - m zbar w_a is taken as a w_{a-1} - (m-a)
     zbar w_a, whose terms do not cancel near either pole."""
+    # every path from sections to a grid passes here
+    if not isinstance(geometry, SphereGeometry):
+        raise GeometryMismatch(f"sections of O(m) on P^1 need a sphere "
+                               f"grid, got {type(geometry).__name__}")
     lt2 = geometry.log_t2()                        # log |z|^2 per latitude
     a = np.arange(m + 1)[:, None]
     mod = np.exp(0.5 * (a * lt2 - m * np.logaddexp(0.0, lt2)))
@@ -148,10 +171,7 @@ def l2_gram_quadrature(geometry: SphereGeometry, m: int,
 # -- arithmetic degree and Chow heights --------------------------------
 
 def arithmetic_degree(g: SectionGram) -> float:
-    sign, logdet = np.linalg.slogdet(g.gram)
-    if sign <= 0 or not np.isfinite(logdet):
-        raise NonPositiveDefinite("gram is not positive definite")
-    return -0.5 * logdet
+    return -0.5 * np.linalg.slogdet(g.gram)[1]
 
 
 def chow_height(model, g: SectionGram) -> float:
@@ -204,10 +224,7 @@ def _fs_density(jet: np.ndarray, H: np.ndarray, n_psi: int):
     moduli (mod, dmod) of (w, Dw).  With H^{-1} = c^{-T} c^{-1}, each of
     |v|^2, |Dv|^2 and <Dv, v> is a lag sum of H^{-1} against two moduli,
     taken to the grid by an inverse FFT along psi."""
-    try:
-        c = np.linalg.cholesky(np.asarray(H, float))
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveDefinite("gram is not positive definite") from exc
+    c = np.linalg.cholesky(H)      # H is a SectionGram's: positive definite
     try:
         cinv = np.linalg.inv(c)
     except np.linalg.LinAlgError as exc:
@@ -237,11 +254,13 @@ def _fs_density(jet: np.ndarray, H: np.ndarray, n_psi: int):
 def bergman_density(geometry: SphereGeometry, m: int,
                     H: np.ndarray) -> np.ndarray:
     """Phi_H = sum_{ab} (H^{-1})_{ab} w_a bar(w_b) on the grid."""
+    H = SectionGram(m, p1_basis(m), H, VOL_OMEGA).gram
     return _fs_density(_section_jet(geometry, m), H, geometry.n_psi)[0]
 
 
 def fubini_study_of(geometry: SphereGeometry, m: int, H: np.ndarray):
     """FS(H) data: Bergman log-density u and the curvature density m + ddc u."""
+    H = SectionGram(m, p1_basis(m), H, VOL_OMEGA).gram
     phi, rho = _fs_density(_section_jet(geometry, m), H, geometry.n_psi)
     return np.log(phi), rho
 

@@ -467,6 +467,23 @@ def test_qexp_and_agm_agree(a):
                - faltings_from_periods(E, per, "agm")) <= 1e-12
 
 
+@pytest.mark.parametrize("N", [2 + 10 ** e for e in range(0, 61, 4)]
+                         + [3 * 10 ** e + 7 for e in range(0, 61, 4)])
+def test_periods_match_the_known_roots(N):
+    # y^2 = x(x - 1)(x + N) has the roots e1 = 1 > e2 = 0 > e3 = -N, so
+    # omega1 = pi/AGM(sqrt(N + 1), 1) and omega2 = i pi/AGM(sqrt(N + 1),
+    # sqrt(N)) with no root finding: a second path for the root step of
+    # curve_periods, which both Faltings heights read
+    a = (0, N - 1, 0, -N, 0)
+    per = curve_periods(EllipticCurveData(a, _discriminant(a)))
+    with mpmath.workdps(60):
+        root = mpmath.sqrt(N + 1)
+        want = (complex(mpmath.pi / mpmath.agm(root, 1)),
+                complex(0, mpmath.pi / mpmath.agm(root, mpmath.sqrt(N))))
+    for got, w in zip((per["omega1"], per["omega2"]), want):
+        assert abs(got - w) <= 1e-15 * abs(w)
+
+
 def test_faltings_bridge_formula():
     h = -0.5
     assert faltings_to_hk(h, 1) == pytest.approx(-1.0)

@@ -280,6 +280,23 @@ def test_only_heightvalue_reads_a_real_part():
     assert found == []
 
 
+def test_only_section_gram_decides_a_gram_is_positive_definite():
+    # the refusal is made once, where a gram is built; arithmetic_degree
+    # and the FS(H) evaluation read grams that passed it
+    def sites(tree):
+        return [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and node.value == "gram is not positive definite"]
+
+    src = Path(heights.__file__).resolve().parent
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             for line in sites(ast.parse(path.read_text()))]
+    gram = next(node for node in ast.parse(
+        (src / "quantize.py").read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "SectionGram")
+    assert found == [f"quantize.py:{line}" for line in sites(gram)] != []
+
+
 def test_one_positivity_test_for_sampled_densities():
     # a sampled density or mass is positive by geometry._positive, which
     # also refuses +-inf: no np.all(<comparison>) or (<comparison>).all()

@@ -3,20 +3,21 @@
 import copy
 import hashlib
 import math
+import pickle
 import re
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from brute_force import p1_deg_hat_exact
 from heights import quantize, scans
 from heights.energies import apply_metric_change
 from heights.errors import (ConventionMismatch, GeometryMismatch,
-                            NonPositiveDefinite, UnsupportedFamily,
-                            ValidationError)
+                            HeightsError, NonPositiveDefinite,
+                            UnsupportedFamily, ValidationError)
 from heights.families import build_p1_fs
 from heights.geometry import SphereGeometry, TorusGeometry
 from heights.intersection import FAMILY_GEOMETRY, IntersectionModel
@@ -26,7 +27,7 @@ from heights.quantize import (SectionGram, arithmetic_degree,
                               bergman_density, chow_height,
                               extended_chow_height, fubini_study_of,
                               htilde_c_of_gram, l2_gram, l2_gram_quadrature,
-                              p1_fs_gram_diag, p1_section_values)
+                              p1_basis, p1_fs_gram_diag, p1_section_values)
 from heights.scans import (dequantization_scan, hilbert_samuel_residual,
                            p1_deg_hat, p1_deg_hat_table)
 
@@ -316,6 +317,139 @@ def test_gram_must_be_finite():
         with pytest.raises(ValidationError, match="finite"):
             SectionGram(1, ("a", "b"), np.array([[1.0, bad], [bad, 1.0]]),
                         "omega")
+
+
+# -- one checked Gram: SectionGram holds every rule -----------------------
+
+SPECIAL_ENTRIES = (np.nan, np.inf, -np.inf, 0.0, 1e-300, -1e-300, 1e300,
+                   -1e300)
+
+
+@st.composite
+def raw_grams(draw):
+    """(m, symmetric k-by-k matrix), k 1..7: free entries, some of them
+    NaN, +-inf, 0 or +-1e+-300; Q diag(d) Q^T with eigenvalues over 26
+    decades, all positive or an even number of them negative (indefinite
+    with a positive determinant); or B B^T with B of rank < k, singular up
+    to rounding.  The matrix may be scaled by 1e-300 or 1e300."""
+    k = draw(st.integers(1, 7))
+    m = draw(st.one_of(st.just(k - 1), st.integers(-2, 9)))
+    kind = draw(st.sampled_from(("entries", "definite", "indefinite",
+                                 "singular")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "entries":
+        entry = st.one_of(st.floats(-10.0, 10.0),
+                          st.sampled_from(SPECIAL_ENTRIES))
+        a = np.array(draw(st.lists(entry, min_size=k * k, max_size=k * k)))
+        a = np.tril(a.reshape(k, k))
+        return m, a + np.tril(a, -1).T
+    if kind == "singular":
+        b = rng.standard_normal((k, rng.integers(0, k)))
+        a = b @ b.T
+    else:
+        q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        d = np.exp(rng.uniform(-30.0, 30.0, k))
+        if kind == "indefinite" and k >= 2:
+            d[rng.permutation(k)[:2 * rng.integers(1, k // 2 + 1)]] *= -1
+        a = (q * d) @ q.T
+    # past the float range: inf entries, which SectionGram refuses
+    with np.errstate(over="ignore"):
+        a = (a + a.T) / 2 * draw(st.sampled_from((1.0, 1e-300, 1e300)))
+    return m, a
+
+
+# Cholesky succeeds on this one and the LU pivots of slogdet round to 0
+SINGULAR_TO_ROUNDING = np.array([
+    [2.911421117582908, -0.8353896044292416, -0.23512731746837692],
+    [-0.8353896044292416, 1.8500112240503337, 3.7473039877726175],
+    [-0.23512731746837692, 3.7473039877726175, 8.428064468704688]])
+
+
+@given(raw_grams())
+@example((1, -np.eye(2)))
+@example((0, np.eye(1)))
+@example((5, np.eye(2)))
+@example((2, SINGULAR_TO_ROUNDING))
+@settings(max_examples=300, deadline=None)
+def test_a_section_gram_is_refused_or_usable(case):
+    m, raw = case
+    try:
+        g = SectionGram(m, tuple(map(str, range(len(raw)))), raw, "m-omega")
+    except HeightsError:
+        return
+    assert g.rank == g.m + 1 >= 2
+    np.linalg.cholesky(g.gram)
+    assert math.isfinite(arithmetic_degree(g))
+    assert math.isfinite(chow_height(MODEL, g))
+
+
+def test_negative_identity_gram_is_refused():
+    # det(-I) = +1: the sign of slogdet let it through, chow_height gave
+    # 0.25 and arithmetic_degree -0.0
+    with pytest.raises(NonPositiveDefinite,
+                       match="^gram is not positive definite$"):
+        SectionGram(1, p1_basis(1), -np.eye(2), "m-omega")
+
+
+def test_gram_rank_must_be_m_plus_one():
+    # a 2x2 gram at m = 5 gave chow_height 1.25 and h~_C 0.0507, and
+    # balanced_step refused a 6x6 gram the caller never passed
+    with pytest.raises(ValidationError,
+                       match=r"rank must be m \+ 1 .* rank 2 at m = 5"):
+        SectionGram(5, ("a", "b"), np.eye(2), "m-omega")
+
+
+def test_gram_at_m_0_is_refused():
+    # a 1x1 gram at m = 0 made chow_height divide by zero
+    with pytest.raises(ValidationError, match="rank 1 at m = 0"):
+        SectionGram(0, p1_basis(0), np.eye(1), "m-omega")
+
+
+def test_fubini_study_of_reads_the_whole_matrix():
+    # Cholesky reads one triangle: this H gave exactly the arrays of I
+    with pytest.raises(ValidationError, match="symmetric"):
+        fubini_study_of(SphereGeometry(16), 1, np.array([[1.0, 5.0],
+                                                         [0.0, 1.0]]))
+
+
+def test_bergman_density_needs_a_gram_of_rank_m_plus_one():
+    # I_2 at m = 3 gave a density
+    with pytest.raises(ValidationError, match="basis size"):
+        bergman_density(SphereGeometry(16), 3, np.eye(2))
+
+
+def test_a_nan_gram_is_named_as_not_finite():
+    # it was reported as "Bergman density lost positivity"
+    H = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    for fs in (bergman_density, fubini_study_of):
+        with pytest.raises(ValidationError, match="gram must be finite"):
+            fs(SphereGeometry(16), 1, H)
+
+
+def test_sections_need_a_sphere_grid():
+    # a torus raised AttributeError: no log_t2
+    torus, g = TorusGeometry(1j, n=16), l2_gram("p1-fs", 2, "fs", "m-omega")
+    for call in (lambda: balanced_step(g, torus),
+                 lambda: l2_gram_quadrature(torus, 2),
+                 lambda: balanced_iterate(g, torus),
+                 lambda: htilde_c_of_gram(MODEL, g, torus),
+                 lambda: fubini_study_of(torus, 2, g.gram),
+                 lambda: bergman_density(torus, 2, g.gram),
+                 lambda: p1_section_values(torus, 2)):
+        with pytest.raises(GeometryMismatch, match="sphere grid"):
+            call()
+
+
+def test_stored_gram_is_a_read_only_copy():
+    raw = np.eye(3)
+    g = SectionGram(2, p1_basis(2), raw, "omega")
+    raw[0, 0] = 5.0             # the caller's array stays the caller's
+    assert g.gram[0, 0] == 1.0
+    for h in (g, copy.copy(g), copy.deepcopy(g),
+              pickle.loads(pickle.dumps(g))):
+        assert h == g
+        with pytest.raises(ValueError, match="read-only"):
+            h.gram[0, 0] = 2.0
 
 
 def test_closed_form_curvature_matches_spectral_ddc():
