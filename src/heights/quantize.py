@@ -24,9 +24,9 @@ from .intersection import _check_family
 from .scans import (VOL_M_OMEGA, VOL_OMEGA, _check_m, _chow,
                     dequantization_scan, hilbert_samuel_residual)
 
-# largest tensor power m of a section Gram: the closed-form Gram holds
-# (m+1)^2 floats (8 MB at 1000) and a balanced step's section jet
-# 2 (m+1) n_theta (65 MB at grid 4096)
+# largest tensor power m of a section Gram: a Gram holds (m+1)^2 floats
+# and its Cholesky factor as many (16 MB at 1000), and a balanced step's
+# section jet 2 (m+1) n_theta (65 MB at grid 4096)
 MAX_GRAM_M = 1000
 
 
@@ -38,6 +38,10 @@ class SectionGram(FrozenValue):
         g = np.array(gram, float)     # a copy: the caller's array may change
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValidationError("gram must be square")
+        if m < 1 or g.shape[0] != m + 1:
+            raise ValidationError(
+                f"gram rank must be m + 1 with m >= 1, got rank "
+                f"{g.shape[0]} at m = {_int_text(m)}")
         if len(basis) != g.shape[0]:
             raise ValidationError("basis size must match gram dimension")
         if not np.all(np.isfinite(g)):
@@ -47,13 +51,8 @@ class SectionGram(FrozenValue):
         if volume_convention not in (VOL_OMEGA, VOL_M_OMEGA):
             raise ValidationError(
                 f"unknown volume convention {volume_convention!r}")
-        g.flags.writeable = False
-        if m < 1 or g.shape[0] != m + 1:
-            raise ValidationError(
-                f"gram rank must be m + 1 with m >= 1, got rank "
-                f"{g.shape[0]} at m = {_int_text(m)}")
         try:
-            np.linalg.cholesky(g)
+            factor = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             raise NonPositiveDefinite(
                 "gram is not positive definite") from None
@@ -61,11 +60,13 @@ class SectionGram(FrozenValue):
         sign, logdet = np.linalg.slogdet(g)
         if sign <= 0 or not np.isfinite(logdet):
             raise NonPositiveDefinite("gram is numerically singular")
+        g.flags.writeable = factor.flags.writeable = False
         self.__dict__.update(m=m, basis=basis, gram=g,
-                             volume_convention=volume_convention)
+                             volume_convention=volume_convention,
+                             factor=factor, logdet=logdet)
 
     def __reduce__(self):
-        # copies are built anew: their gram is checked and read-only too
+        # copies rebuild gram, factor and logdet through the same checks
         return type(self), self._values()
 
     def __eq__(self, other):
@@ -171,7 +172,7 @@ def l2_gram_quadrature(geometry: SphereGeometry, m: int,
 # -- arithmetic degree and Chow heights --------------------------------
 
 def arithmetic_degree(g: SectionGram) -> float:
-    return -0.5 * np.linalg.slogdet(g.gram)[1]
+    return -0.5 * g.logdet
 
 
 def chow_height(model, g: SectionGram) -> float:
@@ -217,16 +218,15 @@ def _lag_sums(A: np.ndarray, p: np.ndarray, q: np.ndarray,
     return out
 
 
-def _fs_density(jet: np.ndarray, H: np.ndarray, n_psi: int):
+def _fs_density(jet: np.ndarray, g: SectionGram, n_psi: int):
     """Bergman density Phi_H = |v|^2 and FS(H) curvature density
     rho = m + ddc log Phi_H = (|v|^2 |Dv|^2 - |<Dv, v>|^2) / |v|^4 on the
-    grid, with v = c^{-1} w, Dv = c^{-1} Dw for H = c c^T; jet holds the
-    moduli (mod, dmod) of (w, Dw).  With H^{-1} = c^{-T} c^{-1}, each of
-    |v|^2, |Dv|^2 and <Dv, v> is a lag sum of H^{-1} against two moduli,
-    taken to the grid by an inverse FFT along psi."""
-    c = np.linalg.cholesky(H)      # H is a SectionGram's: positive definite
+    grid, with v = c^{-1} w, Dv = c^{-1} Dw for H = g.gram = c c^T, c =
+    g.factor, and jet the moduli (mod, dmod) of (w, Dw).  Each of |v|^2,
+    |Dv|^2 and <Dv, v> is a lag sum of H^{-1} = c^{-T} c^{-1} against two
+    moduli, taken to the grid by an inverse FFT along psi."""
     try:
-        cinv = np.linalg.inv(c)
+        cinv = np.linalg.inv(g.factor)
     except np.linalg.LinAlgError as exc:
         raise NonPositiveDefinite("gram is numerically singular") from exc
     mod, dmod = jet
@@ -254,14 +254,14 @@ def _fs_density(jet: np.ndarray, H: np.ndarray, n_psi: int):
 def bergman_density(geometry: SphereGeometry, m: int,
                     H: np.ndarray) -> np.ndarray:
     """Phi_H = sum_{ab} (H^{-1})_{ab} w_a bar(w_b) on the grid."""
-    H = SectionGram(m, p1_basis(m), H, VOL_OMEGA).gram
-    return _fs_density(_section_jet(geometry, m), H, geometry.n_psi)[0]
+    g = SectionGram(m, p1_basis(m), H, VOL_OMEGA)
+    return _fs_density(_section_jet(geometry, m), g, geometry.n_psi)[0]
 
 
 def fubini_study_of(geometry: SphereGeometry, m: int, H: np.ndarray):
     """FS(H) data: Bergman log-density u and the curvature density m + ddc u."""
-    H = SectionGram(m, p1_basis(m), H, VOL_OMEGA).gram
-    phi, rho = _fs_density(_section_jet(geometry, m), H, geometry.n_psi)
+    g = SectionGram(m, p1_basis(m), H, VOL_OMEGA)
+    phi, rho = _fs_density(_section_jet(geometry, m), g, geometry.n_psi)
     return np.log(phi), rho
 
 
@@ -275,7 +275,7 @@ def _t_operator(g, jet, phi, rho, geometry) -> SectionGram:
 def balanced_step(g: SectionGram, geometry: SphereGeometry) -> SectionGram:
     """One T-operator step: L^2 Gram under FS(H), trace renormalized."""
     jet = _section_jet(geometry, g.m)
-    return _t_operator(g, jet, *_fs_density(jet, g.gram, geometry.n_psi),
+    return _t_operator(g, jet, *_fs_density(jet, g, geometry.n_psi),
                        geometry)
 
 
@@ -290,11 +290,11 @@ def balanced_iterate(g0: SectionGram, geometry: SphereGeometry,
     if not tol > 0 or max_iter < 1:
         raise ValidationError("tol must be > 0 and max_iter >= 1")
     jet = _section_jet(geometry, g0.m)
-    g, fs, trace = g0, _fs_density(jet, g0.gram, geometry.n_psi), []
+    g, fs, trace = g0, _fs_density(jet, g0, geometry.n_psi), []
     for it in range(1, max_iter + 1):
         nxt = _t_operator(g, jet, *fs, geometry)
         # for h~_C(nxt) and the next step
-        fs = _fs_density(jet, nxt.gram, geometry.n_psi)
+        fs = _fs_density(jet, nxt, geometry.n_psi)
         dist = float(np.max(np.abs(nxt.gram - g.gram)))
         h = (_htilde_c(model, nxt, geometry, *fs)
              if model is not None else float("nan"))
@@ -324,5 +324,5 @@ def htilde_c_of_gram(model, g: SectionGram,
     of (L_m^2) against the reference FS^m metric remains.
     """
     return _htilde_c(model, g, geometry,
-                     *_fs_density(_section_jet(geometry, g.m), g.gram,
+                     *_fs_density(_section_jet(geometry, g.m), g,
                                   geometry.n_psi))

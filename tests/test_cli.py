@@ -752,7 +752,7 @@ def test_overflowing_gram_exits_3(tmp_path, capsys):
 
 def test_singular_gram_exits_3(capsys):
     # 64 latitudes cannot resolve m = 400: the T-operator Gram passes
-    # its Cholesky but its factor cannot be inverted
+    # its Cholesky but its LU determinant rounds to 0
     code, _, err = run(["balanced", "--family", "p1-fs", "--m", "400",
                         "--grid", "64", "--max-iter", "3"], capsys)
     assert code == 3 and "NonPositiveDefinite" in err
@@ -766,6 +766,16 @@ def test_malformed_gram_file_exits_2(tmp_path, capsys, entries):
     code, _, err = run(["balanced", "--family", "p1-fs", "--m", "1",
                         "--gram", str(gram)], capsys)
     assert code == 2 and "ValidationError" in err and "--gram" in err
+
+
+def test_gram_file_of_the_wrong_rank_names_its_rank(tmp_path, capsys):
+    # the basis rule came first and named a basis the file does not give
+    gram = tmp_path / "g.json"
+    gram.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
+    code, _, err = run(["balanced", "--family", "p1-fs", "--m", "3",
+                        "--gram", str(gram)], capsys)
+    assert code == 2 and "rank 2 at m = 3" in err
+    assert "basis size" not in err
 
 
 def test_long_integer_literal_in_gram_exits_2(tmp_path, capsys):

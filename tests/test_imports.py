@@ -297,6 +297,27 @@ def test_only_section_gram_decides_a_gram_is_positive_definite():
     assert found == [f"quantize.py:{line}" for line in sites(gram)] != []
 
 
+def test_only_section_gram_factorizes_a_gram():
+    # SectionGram.__init__ keeps the Cholesky factor and log-determinant
+    # of its checks; the FS(H) evaluation and arithmetic_degree read them
+    def sites(tree):
+        return [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("cholesky", "slogdet")]
+
+    src = Path(heights.__file__).resolve().parent
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             for line in sites(ast.parse(path.read_text()))]
+    gram = next(node for node in ast.parse(
+        (src / "quantize.py").read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "SectionGram")
+    init = next(node for node in gram.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "__init__")
+    assert found == [f"quantize.py:{line}" for line in sites(init)] != []
+
+
 def test_one_positivity_test_for_sampled_densities():
     # a sampled density or mass is positive by geometry._positive, which
     # also refuses +-inf: no np.all(<comparison>) or (<comparison>).all()

@@ -240,8 +240,8 @@ def test_balanced_iterate_matches_grid_reference(monkeypatch):
     g0 = perturbed_gram(5, 2, scale=0.05)
     _, iters, converged, trace = balanced_iterate(g0, GEOM, model=MODEL)
 
-    def fs_on_grid(jet, H, n_psi):
-        phi, rho = fs_density_reference(GEOM, 5, H)
+    def fs_on_grid(jet, g, n_psi):
+        phi, rho = fs_density_reference(GEOM, 5, g.gram)
         assert np.all(phi > 0) and np.all(rho > 0)
         return phi, rho
 
@@ -370,6 +370,7 @@ SINGULAR_TO_ROUNDING = np.array([
 @example((0, np.eye(1)))
 @example((5, np.eye(2)))
 @example((2, SINGULAR_TO_ROUNDING))
+@example((1, np.zeros((0, 0))))
 @settings(max_examples=300, deadline=None)
 def test_a_section_gram_is_refused_or_usable(case):
     m, raw = case
@@ -379,6 +380,7 @@ def test_a_section_gram_is_refused_or_usable(case):
         return
     assert g.rank == g.m + 1 >= 2
     np.linalg.cholesky(g.gram)
+    assert arithmetic_degree(g) == -0.5 * np.linalg.slogdet(g.gram)[1]
     assert math.isfinite(arithmetic_degree(g))
     assert math.isfinite(chow_height(MODEL, g))
 
@@ -399,6 +401,18 @@ def test_gram_rank_must_be_m_plus_one():
         SectionGram(5, ("a", "b"), np.eye(2), "m-omega")
 
 
+def test_empty_gram_is_refused():
+    # numpy's max over an empty array raised a bare ValueError
+    for m in (-1, 0, 1):
+        with pytest.raises(ValidationError, match=f"rank 0 at m = {m}$"):
+            SectionGram(m, (), np.zeros((0, 0)), "omega")
+
+
+def test_basis_has_one_name_per_row():
+    with pytest.raises(ValidationError, match="basis size"):
+        SectionGram(2, ("a",), np.eye(3), "omega")
+
+
 def test_gram_at_m_0_is_refused():
     # a 1x1 gram at m = 0 made chow_height divide by zero
     with pytest.raises(ValidationError, match="rank 1 at m = 0"):
@@ -414,7 +428,7 @@ def test_fubini_study_of_reads_the_whole_matrix():
 
 def test_bergman_density_needs_a_gram_of_rank_m_plus_one():
     # I_2 at m = 3 gave a density
-    with pytest.raises(ValidationError, match="basis size"):
+    with pytest.raises(ValidationError, match="rank 2 at m = 3"):
         bergman_density(SphereGeometry(16), 3, np.eye(2))
 
 
@@ -448,8 +462,10 @@ def test_stored_gram_is_a_read_only_copy():
     for h in (g, copy.copy(g), copy.deepcopy(g),
               pickle.loads(pickle.dumps(g))):
         assert h == g
-        with pytest.raises(ValueError, match="read-only"):
-            h.gram[0, 0] = 2.0
+        assert np.array_equal(h.factor, np.linalg.cholesky(h.gram))
+        for stored in (h.gram, h.factor):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = 2.0
 
 
 def test_closed_form_curvature_matches_spectral_ddc():
@@ -474,17 +490,26 @@ def test_quantized_side_takes_no_sphere_transform(monkeypatch):
 
 
 def test_balanced_iterate_evaluates_fs_once_per_gram(monkeypatch):
+    # each Gram the iteration builds is factorized once, in SectionGram:
+    # FS(H) and the Chow height read its stored factor and log-determinant
     calls = []
-    fs_density = quantize._fs_density
 
-    def counted(*args):
-        calls.append(1)
-        return fs_density(*args)
-    monkeypatch.setattr(quantize, "_fs_density", counted)
-    _, iters, converged, _ = balanced_iterate(
-        perturbed_gram(3, 1, scale=0.05), GEOM, tol=1e-9, model=MODEL)
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def count(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(module, name, count)
+    g0 = perturbed_gram(3, 1, scale=0.05)
+    counted(quantize, "_fs_density")
+    counted(np.linalg, "cholesky")
+    counted(np.linalg, "slogdet")
+    _, iters, converged, _ = balanced_iterate(g0, GEOM, tol=1e-9,
+                                              model=MODEL)
     assert converged and iters > 1
-    assert len(calls) == iters + 1
+    assert calls.count("_fs_density") == iters + 1
+    assert calls.count("cholesky") == calls.count("slogdet") == iters
 
 
 def test_perturbed_gram_converges_to_fs():
